@@ -33,6 +33,18 @@ pub enum Dpar2Error {
         /// Shape the warm start carries.
         got: (usize, usize),
     },
+    /// An input entry is NaN or infinite. Streaming appends check every
+    /// batch before touching any state, so a corrupt batch is rejected
+    /// instead of poisoning (or panicking inside) the factorizations.
+    NonFinite {
+        /// Index of the offending slice, counted over every slice ingested
+        /// so far (the batch's first slice is `k` of the stream).
+        slice: usize,
+        /// Row of the first non-finite entry in that slice.
+        row: usize,
+        /// Column of that entry.
+        col: usize,
+    },
     /// An underlying linear-algebra routine failed.
     Linalg(dpar2_linalg::LinalgError),
 }
@@ -50,6 +62,9 @@ impl fmt::Display for Dpar2Error {
                 "warm-start factor {factor} has shape {}x{}, expected {}x{}",
                 got.0, got.1, expected.0, expected.1
             ),
+            Dpar2Error::NonFinite { slice, row, col } => {
+                write!(f, "non-finite entry at row {row}, column {col} of slice {slice}")
+            }
             Dpar2Error::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }
     }
@@ -78,6 +93,8 @@ mod tests {
         assert_eq!(Dpar2Error::Empty.to_string(), "no slices ingested yet (nothing to decompose)");
         let w = Dpar2Error::WarmStart { factor: "V", expected: (12, 3), got: (10, 3) };
         assert_eq!(w.to_string(), "warm-start factor V has shape 10x3, expected 12x3");
+        let nf = Dpar2Error::NonFinite { slice: 4, row: 2, col: 7 };
+        assert_eq!(nf.to_string(), "non-finite entry at row 2, column 7 of slice 4");
     }
 
     #[test]

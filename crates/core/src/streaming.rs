@@ -85,7 +85,10 @@ impl StreamingDpar2 {
     ///
     /// # Errors
     /// [`Dpar2Error::RankTooLarge`] if a new slice cannot support the rank;
-    /// [`Dpar2Error::Linalg`] on dimension mismatches (inconsistent `J`).
+    /// [`Dpar2Error::Linalg`] on dimension mismatches (inconsistent `J`);
+    /// [`Dpar2Error::NonFinite`] if any entry is NaN or infinite. A rejected
+    /// batch leaves the ingested state untouched and does not shift the
+    /// seed stream.
     pub fn append(&mut self, slices: Vec<Mat>) -> Result<()> {
         if slices.is_empty() {
             return Ok(());
@@ -100,6 +103,13 @@ impl StreamingDpar2 {
                 left: (j, self.options.rank),
                 right: (bad.cols(), self.options.rank),
             }));
+        }
+        // Non-finite entries would poison (or panic inside) the stage-1
+        // factorizations; reject them before any state or seed changes.
+        for (k, s) in slices.iter().enumerate() {
+            if let Some(at) = s.data().iter().position(|x| !x.is_finite()) {
+                return Err(self.non_finite(k, at / j, at % j));
+            }
         }
         let batch = IrregularTensor::new(slices);
         match self.ct.take() {
@@ -142,7 +152,8 @@ impl StreamingDpar2 {
     ///
     /// # Errors
     /// Same contract as [`StreamingDpar2::append`]: a rejected batch
-    /// ([`Dpar2Error::RankTooLarge`], [`Dpar2Error::Linalg`]) leaves the
+    /// ([`Dpar2Error::RankTooLarge`], [`Dpar2Error::Linalg`],
+    /// [`Dpar2Error::NonFinite`] for a stored NaN or infinity) leaves the
     /// ingested state untouched and does not shift the seed stream.
     pub fn append_sparse(&mut self, slices: Vec<SparseSlice>) -> Result<()> {
         if slices.is_empty() {
@@ -155,6 +166,11 @@ impl StreamingDpar2 {
                 left: (j, self.options.rank),
                 right: (bad.cols(), self.options.rank),
             }));
+        }
+        for (k, s) in slices.iter().enumerate() {
+            if let Some((row, col, _)) = s.iter().find(|(_, _, x)| !x.is_finite()) {
+                return Err(self.non_finite(k, row, col));
+            }
         }
         let batch = SparseIrregularTensor::new(slices);
         match self.ct.take() {
@@ -178,6 +194,12 @@ impl StreamingDpar2 {
                 }
             }
         }
+    }
+
+    /// The typed rejection of a batch whose slice `k` holds a non-finite
+    /// entry at (`row`, `col`); the slice is numbered over the whole stream.
+    fn non_finite(&self, k: usize, row: usize, col: usize) -> Dpar2Error {
+        Dpar2Error::NonFinite { slice: self.k() + k, row, col }
     }
 
     /// Incremental stage-2 update with a batch of freshly compressed
@@ -673,6 +695,70 @@ mod tests {
         clean.append_sparse(good2).unwrap();
         let fit_b = clean.decompose().unwrap();
         assert_eq!(fit_a.u, fit_b.u, "rejected sparse batch shifted the seed stream");
+        assert_eq!(fit_a.criterion_trace, fit_b.criterion_trace);
+    }
+
+    #[test]
+    fn non_finite_batch_is_typed_error_and_does_not_shift_seed_stream() {
+        // A NaN in a 40×20 slice used to panic inside the stage-1 SVD.
+        let mut gen = Planted::new(20, 2, 104);
+        let good1 = vec![gen.slice(40, 0.02), gen.slice(36, 0.02)];
+        let good2 = vec![gen.slice(30, 0.02), gen.slice(44, 0.02)];
+        let mut nan = gen.slice(40, 0.02);
+        nan.set(17, 5, f64::NAN);
+        let mut inf = gen.slice(25, 0.02);
+        inf.set(24, 19, f64::NEG_INFINITY);
+        let cfg = FitOptions::new(2).with_seed(105).with_max_iterations(10);
+
+        let mut with_failure = StreamingDpar2::new(cfg);
+        // Rejected as a first batch too, before the initial compression.
+        let err = with_failure.append(vec![nan.clone()]).unwrap_err();
+        assert_eq!(err, Dpar2Error::NonFinite { slice: 0, row: 17, col: 5 });
+        assert!(with_failure.compressed().is_none());
+        with_failure.append(good1.clone()).unwrap();
+        // The slice index counts the two ingested slices.
+        let err = with_failure.append(vec![good2[0].clone(), inf]).unwrap_err();
+        assert_eq!(err, Dpar2Error::NonFinite { slice: 3, row: 24, col: 19 });
+        assert_eq!(with_failure.k(), 2, "rejected batch changed the ingested state");
+        with_failure.append(good2.clone()).unwrap();
+        let fit_a = with_failure.decompose().unwrap();
+
+        let mut clean = StreamingDpar2::new(cfg);
+        clean.append(good1).unwrap();
+        clean.append(good2).unwrap();
+        let fit_b = clean.decompose().unwrap();
+        assert_eq!(fit_a.u, fit_b.u, "rejected non-finite batch shifted the seed stream (U)");
+        assert_eq!(fit_a.s, fit_b.s);
+        assert_eq!(fit_a.v, fit_b.v);
+        assert_eq!(fit_a.h, fit_b.h);
+        assert_eq!(fit_a.criterion_trace, fit_b.criterion_trace);
+    }
+
+    #[test]
+    fn non_finite_sparse_batch_is_typed_error_and_does_not_shift_seed_stream() {
+        let cfg = FitOptions::new(2).with_seed(106).with_max_iterations(10);
+        let good1 = sparse_batch(107, &[24, 20], 12);
+        let good2 = sparse_batch(108, &[18, 26], 12);
+        let mut b = dpar2_linalg::CooBuilder::new(16, 12);
+        for i in 0..16 {
+            b.push(i, i % 12, 1.0 + i as f64);
+        }
+        b.push(9, 4, f64::NAN);
+        let bad = b.build();
+
+        let mut with_failure = StreamingDpar2::new(cfg);
+        with_failure.append_sparse(good1.clone()).unwrap();
+        let err = with_failure.append_sparse(vec![bad]).unwrap_err();
+        assert_eq!(err, Dpar2Error::NonFinite { slice: 2, row: 9, col: 4 });
+        assert_eq!(with_failure.k(), 2);
+        with_failure.append_sparse(good2.clone()).unwrap();
+        let fit_a = with_failure.decompose().unwrap();
+
+        let mut clean = StreamingDpar2::new(cfg);
+        clean.append_sparse(good1).unwrap();
+        clean.append_sparse(good2).unwrap();
+        let fit_b = clean.decompose().unwrap();
+        assert_eq!(fit_a.u, fit_b.u, "rejected non-finite sparse batch shifted the seed stream");
         assert_eq!(fit_a.criterion_trace, fit_b.criterion_trace);
     }
 

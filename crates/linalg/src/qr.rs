@@ -18,13 +18,21 @@ pub struct QrFactors {
     pub r: Mat,
 }
 
-/// Reusable scratch for [`qr_into`]: the full-size working copy of `A` and
-/// the Householder vectors. Holding one of these across calls makes
-/// repeated factorizations of same-shaped inputs allocation-free.
+/// Householder reflectors are applied to this many columns per pass over
+/// the reflector vector: the columns' dot products are independent
+/// accumulation chains, so a block keeps several in flight while `v` is
+/// read once.
+const LANES: usize = 8;
+
+/// Reusable scratch for [`qr_into`]: the full-size column-major working
+/// store and the Householder vectors. Holding one of these across calls
+/// makes repeated factorizations of same-shaped inputs allocation-free.
 #[derive(Debug, Default)]
 pub struct QrScratch {
-    /// Working copy of `A` that the reflectors are applied to.
-    work: Mat,
+    /// Column-major working store, `n` columns of length `m`: `A` is
+    /// reflected into `R` here, and once `R` is extracted the first `k`
+    /// columns are reused to accumulate `Q`.
+    work: Vec<f64>,
     /// Householder vectors; `vs[j]` has length `m - j`. The outer vector is
     /// never cleared, so inner capacities persist across calls.
     vs: Vec<Vec<f64>>,
@@ -46,13 +54,28 @@ pub fn qr(a: impl AsMatRef) -> QrFactors {
 /// [`qr`] into caller-owned output buffers (`q`, `r` resized in place) with
 /// reusable scratch — the allocation-free form the per-iteration SVDs of
 /// the ALS solvers run on. Bit-identical to [`qr`].
+///
+/// The reflectors run on a column-major copy of `a`, several columns per
+/// pass, but each column's update is the plain Householder arithmetic: its
+/// dot product with `v` starts at `0.0` and adds in ascending row order, is
+/// scaled by `τ`, and a zero scale skips the update. Accumulating `Q` also
+/// skips the columns whose dot product is provably `+0.0`. `Q` and
+/// `R` are therefore bitwise equal to the one-column-at-a-time row-major
+/// loops, non-finite input included (`tests/qr_differential.rs` pins
+/// this).
 pub fn qr_into(a: impl AsMatRef, q: &mut Mat, r_thin: &mut Mat, ws: &mut QrScratch) {
     let a = a.as_mat_ref();
     let m = a.rows();
     let n = a.cols();
     let k = m.min(n);
-    let r = &mut ws.work;
-    r.copy_from(a);
+    let w = &mut ws.work;
+    w.clear();
+    w.resize(m * n, 0.0);
+    for i in 0..m {
+        for (c, &x) in a.row(i).iter().enumerate() {
+            w[c * m + i] = x;
+        }
+    }
     // Householder vectors, one per reflected column. v[j] has length m - j.
     while ws.vs.len() < k {
         ws.vs.push(Vec::new());
@@ -63,7 +86,7 @@ pub fn qr_into(a: impl AsMatRef, q: &mut Mat, r_thin: &mut Mat, ws: &mut QrScrat
         // Build the reflector from column j, rows j..m.
         let v = &mut ws.vs[j];
         v.clear();
-        v.extend((j..m).map(|i| r.at(i, j)));
+        v.extend_from_slice(&w[j * m + j..(j + 1) * m]);
         let alpha = v[0];
         let sigma: f64 = v[1..].iter().map(|&x| x * x).sum();
         if sigma == 0.0 && alpha >= 0.0 {
@@ -82,53 +105,95 @@ pub fn qr_into(a: impl AsMatRef, q: &mut Mat, r_thin: &mut Mat, ws: &mut QrScrat
         }
 
         // Apply H = I − τ v vᵀ to the trailing submatrix R[j.., j..].
-        for col in j..n {
-            let mut s = 0.0;
-            for (idx, &vi) in v.iter().enumerate() {
-                s += vi * r.at(j + idx, col);
-            }
-            s *= tau;
-            if s != 0.0 {
-                for (idx, &vi) in v.iter().enumerate() {
-                    let cur = r.at(j + idx, col);
-                    r.set(j + idx, col, cur - s * vi);
-                }
-            }
-        }
+        reflect_columns(v, tau, &mut w[j * m..], m, j);
         ws.taus.push(tau);
     }
 
-    // Zero the subdiagonal of R explicitly and truncate to k rows.
+    // Copy out the upper triangle of R (its subdiagonal stays zero),
+    // truncated to k rows.
     r_thin.resize_zeroed(k, n);
     for i in 0..k {
         for j in i..n {
-            r_thin.set(i, j, r.at(i, j));
+            r_thin.set(i, j, w[j * m + i]);
         }
     }
 
-    // Accumulate the thin Q: apply H_0 H_1 … H_{k-1} to the m×k identity,
-    // multiplying from the last reflector backwards.
-    q.resize_zeroed(m, k);
+    // Accumulate the thin Q in the first k columns of the store: apply
+    // H_0 H_1 … H_{k-1} to the m×k identity, from the last reflector
+    // backwards. When H_j is applied, every column c < j is still +0.0 in
+    // rows j.. (each earlier reflector's dot product there summed only
+    // zeros, so it skipped the update), so H_j would skip it too and starts
+    // at column j. That needs finite reflectors: 0·∞ and 0·NaN are NaN, so
+    // from the first non-finite `v` or `τ` on, every column is reflected.
+    let qw = &mut w[..m * k];
+    qw.fill(0.0);
     for i in 0..k {
-        q.set(i, i, 1.0);
+        qw[i * m + i] = 1.0;
     }
+    let mut finite = true;
     for j in (0..k).rev() {
-        let v = &ws.vs[j];
-        let tau = ws.taus[j];
-        if tau == 0.0 {
-            continue;
+        let (v, tau) = (&ws.vs[j], ws.taus[j]);
+        if tau != 0.0 {
+            finite &= tau.is_finite() && v.iter().all(|x| x.is_finite());
+            let first = if finite { j } else { 0 };
+            reflect_columns(v, tau, &mut qw[first * m..], m, j);
         }
-        for col in 0..k {
-            let mut s = 0.0;
-            for (idx, &vi) in v.iter().enumerate() {
-                s += vi * q.at(j + idx, col);
-            }
-            s *= tau;
-            if s != 0.0 {
-                for (idx, &vi) in v.iter().enumerate() {
-                    let cur = q.at(j + idx, col);
-                    q.set(j + idx, col, cur - s * vi);
-                }
+    }
+    q.resize_zeroed(m, k);
+    for c in 0..k {
+        for (i, &x) in qw[c * m..(c + 1) * m].iter().enumerate() {
+            q.set(i, c, x);
+        }
+    }
+}
+
+/// Applies `H = I − τ v vᵀ` to rows `row0..` of every column of the
+/// column-major block `cols` (columns of length `ld`, `v.len() == ld -
+/// row0`): `LANES` columns per pass, then the remainder in halving blocks.
+fn reflect_columns(v: &[f64], tau: f64, cols: &mut [f64], ld: usize, row0: usize) {
+    let rest = reflect_blocks::<LANES>(v, tau, cols, ld, row0);
+    let rest = reflect_blocks::<4>(v, tau, rest, ld, row0);
+    let rest = reflect_blocks::<2>(v, tau, rest, ld, row0);
+    reflect_blocks::<1>(v, tau, rest, ld, row0);
+}
+
+/// Reflects as many whole `B`-column blocks of `cols` as fit and returns
+/// the columns left over.
+fn reflect_blocks<'a, const B: usize>(
+    v: &[f64],
+    tau: f64,
+    cols: &'a mut [f64],
+    ld: usize,
+    row0: usize,
+) -> &'a mut [f64] {
+    let mut blocks = cols.chunks_exact_mut(ld * B);
+    for block in &mut blocks {
+        reflect_block::<B>(v, tau, block, ld, row0);
+    }
+    blocks.into_remainder()
+}
+
+/// [`reflect_columns`] on exactly `B` columns: one pass over `v` forms the
+/// `B` dot products (each its own accumulator, in ascending row order),
+/// then each column with a nonzero scale is updated.
+#[inline(always)]
+fn reflect_block<const B: usize>(v: &[f64], tau: f64, block: &mut [f64], ld: usize, row0: usize) {
+    let len = v.len();
+    let mut it = block.chunks_exact_mut(ld);
+    let cols: [&mut [f64]; B] =
+        std::array::from_fn(|_| &mut it.next().expect("block holds B columns")[row0..][..len]);
+    let mut s = [0.0; B];
+    for i in 0..len {
+        let vi = v[i];
+        for b in 0..B {
+            s[b] += vi * cols[b][i];
+        }
+    }
+    for b in 0..B {
+        let sb = s[b] * tau;
+        if sb != 0.0 {
+            for (x, &vi) in cols[b].iter_mut().zip(v) {
+                *x -= sb * vi;
             }
         }
     }

@@ -288,7 +288,9 @@ fn jacobi_svd_into(
     sigmas.clear();
     sigmas
         .extend(w.chunks_exact(m.max(1)).map(|col| col.iter().map(|&x| x * x).sum::<f64>().sqrt()));
-    order.sort_by(|&i, &j| sigmas[j].partial_cmp(&sigmas[i]).expect("NaN singular value"));
+    // Descending; `total_cmp` orders finite (non-negative) norms exactly as
+    // `partial_cmp` does and cannot fail on a NaN from a non-finite input.
+    order.sort_by(|&i, &j| sigmas[j].total_cmp(&sigmas[i]));
 
     u.resize_zeroed(m, n);
     s.clear();
@@ -390,6 +392,23 @@ mod tests {
         // Reconstruction.
         let err = (a - &f.reconstruct()).fro_norm();
         assert!(err < tol * a.fro_norm().max(1.0), "reconstruction error {err}");
+    }
+
+    #[test]
+    fn non_finite_input_returns_without_panicking() {
+        // The descending sort of the column norms used to `expect` a
+        // comparable value and panicked on the NaN a non-finite entry makes.
+        let mut rng = StdRng::seed_from_u64(40);
+        for (m, n, bad) in [(12, 4, f64::NAN), (5, 5, f64::INFINITY), (4, 9, f64::NAN)] {
+            let mut a = gaussian_mat(m, n, &mut rng);
+            a.set(1, 2, bad);
+            let f = svd_thin(&a);
+            assert_eq!(f.s.len(), m.min(n));
+            assert!(
+                !f.s.iter().all(|x| x.is_finite()),
+                "{m}x{n}: non-finite input, finite spectrum"
+            );
+        }
     }
 
     #[test]

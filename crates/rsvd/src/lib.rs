@@ -78,10 +78,13 @@ pub fn rsvd(a: impl AsMatRef, config: &RsvdConfig, rng: &mut impl Rng) -> SvdFac
 /// [`rsvd`] with every pass over `A` — the sketch `A·Ω`, the power
 /// iterations `Aᵀ·Q` / `A·Qz`, the projection `Qᵀ·A`, and the final lift
 /// `Q·Ũ` — running on the pooled GEMM path, which row-partitions each
-/// product over `pool`. These chained tall-matrix products dominate the
-/// rSVD cost, so this is where DPar2's compression stages spend their
-/// threads when slices are too few (or too skewed) to saturate the
-/// per-slice fan-out. Results are **bit-identical** for every pool size
+/// product over `pool`. This is where DPar2's compression stages spend
+/// their threads when slices are too few (or too skewed) to saturate the
+/// per-slice fan-out. The products are not the whole cost: at the default
+/// single power iteration, three Householder QRs of the `I×(r+s)` and
+/// `J×(r+s)` sketches, plus the one that preconditions the final small SVD,
+/// run serially on the calling thread and cost as much as the products or
+/// more (the README's performance notes give the measured split). Results are **bit-identical** for every pool size
 /// (the pooled GEMM fixes its reduction order), so `rsvd(a, c, rng)` and
 /// `rsvd_pooled(a, c, rng, pool)` agree exactly given equal RNG streams.
 pub fn rsvd_pooled(

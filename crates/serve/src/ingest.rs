@@ -623,6 +623,36 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_batch_fails_typed_and_worker_keeps_publishing() {
+        // A NaN in a batch used to panic inside the stage-1 SVD and kill
+        // the worker thread; now the append is rejected with a typed error.
+        let registry = Arc::new(ModelRegistry::new());
+        let worker = IngestWorker::spawn(
+            StreamingDpar2::new(config()),
+            ModelMeta::new("nan"),
+            registry.clone(),
+        );
+        let t = planted_parafac2(&[16, 16, 14], 10, 2, 0.0, 15);
+        worker.append(t.to_slices()[..2].to_vec());
+        let mut poisoned = t.slice(2).to_mat();
+        poisoned.set(3, 4, f64::NAN);
+        worker.append(vec![poisoned]);
+        worker.append(vec![t.slice(2).to_mat()]);
+        worker.flush();
+        let events = worker.events();
+        assert_eq!(events.len(), 3, "got {events:?}");
+        let expected = dpar2_core::Dpar2Error::NonFinite { slice: 2, row: 3, col: 4 }.to_string();
+        assert_eq!(events[1], IngestEvent::AppendFailed { batch: 2, error: expected });
+        assert!(
+            matches!(events[2], IngestEvent::Published { batch: 3, version: 2, entities: 3 }),
+            "got {:?}",
+            events[2]
+        );
+        assert_eq!(registry.version("nan"), Some(2));
+        worker.shutdown();
+    }
+
+    #[test]
     fn observed_worker_records_ingest_metrics() {
         use dpar2_obs::MetricsRegistry;
 

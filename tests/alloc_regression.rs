@@ -324,6 +324,46 @@ fn instrumented_index_search_steady_state_allocates_nothing() {
     assert!(probed.get() >= 63);
 }
 
+/// Kernel pin: a second same-shape `qr_into` on a reused `QrScratch`
+/// allocates nothing — the column-major working store and the Householder
+/// vectors keep their capacity between calls. (The shape is a stage-1
+/// rSVD sketch: tall, sketch-width columns.)
+#[test]
+fn qr_into_on_reused_scratch_allocates_nothing() {
+    use dpar2_repro::linalg::{gaussian_mat, qr_into, Mat, QrScratch};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let a = gaussian_mat(300, 18, &mut StdRng::seed_from_u64(9010));
+    let (mut q, mut r) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+    let mut ws = QrScratch::default();
+    qr_into(&a, &mut q, &mut r, &mut ws);
+    let before = allocs_now();
+    qr_into(&a, &mut q, &mut r, &mut ws);
+    let after = allocs_now();
+    assert_eq!(after - before, 0, "same-shape qr_into on a reused scratch allocated");
+}
+
+/// Kernel pin: the same for `svd_thin_into` on a tall input, which
+/// QR-preconditions through its embedded `QrScratch` before the Jacobi
+/// sweeps.
+#[test]
+fn svd_thin_into_tall_on_reused_scratch_allocates_nothing() {
+    use dpar2_repro::linalg::svd::svd_thin_into;
+    use dpar2_repro::linalg::{gaussian_mat, SvdFactors, SvdScratch};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let a = gaussian_mat(240, 12, &mut StdRng::seed_from_u64(9011));
+    let mut out = SvdFactors::default();
+    let mut ws = SvdScratch::default();
+    svd_thin_into(&a, &mut out, &mut ws);
+    let before = allocs_now();
+    svd_thin_into(&a, &mut out, &mut ws);
+    let after = allocs_now();
+    assert_eq!(after - before, 0, "same-shape tall svd_thin_into on a reused scratch allocated");
+}
+
 /// Guard for the measurement itself: the thread-local counter observes this
 /// thread's allocations (so the zero assertions above are meaningful).
 #[test]
