@@ -149,6 +149,12 @@ fn bench_convergence(c: &mut Criterion) {
     group.bench_function("true_reconstruction_error", |b| {
         b.iter(|| black_box(true_error_sq(&t, &qs, &fx.h, &fx.w, &fx.v)))
     });
+    // The benchmark's fit-sparse shape (K = 300, J = 2000, R = 10), where
+    // a per-slice R×J pass would dominate the ALS iteration.
+    let fx = lemma_fixture(300, 2000, 10);
+    group.bench_function("compressed_criterion_k300_j2000_r10", |b| {
+        b.iter(|| black_box(compressed_criterion(&fx.pzf, &fx.edt, &fx.h, &fx.w, &fx.v, &pool)))
+    });
     group.finish();
 }
 

@@ -10,42 +10,73 @@
 //!   = Σ_k ‖A_k F(k) E Dᵀ − Q_k H S_k Vᵀ‖²_F
 //! ```
 //!
-//! involves only `R×J` matrices — `O(J K R²)` time, `O(J R)` transient
-//! space. (Unitary invariance of the Frobenius norm plus `P_kᵀP_k = I`,
-//! `Z_k Z_kᵀ = I` gives the equality; see the derivation in §III-E.)
+//! needs no `I_k`-sized matrix. (Unitary invariance of the Frobenius norm
+//! plus `P_kᵀP_k = I`, `Z_k Z_kᵀ = I` gives the equality; see the
+//! derivation in §III-E.)
+//!
+//! Evaluated as written, each slice still forms two `R×J` products, an
+//! `O(J K R²)` pass. This module instead takes two thin QRs once per call,
+//!
+//! ```text
+//! (E Dᵀ)ᵀ = Q R̃,     (I − Q Qᵀ) V = Q₂ R₂          O(J R²)
+//! ```
+//!
+//! so `E Dᵀ = R̃ᵀ Qᵀ` and `Vᵀ = (VᵀQ) Qᵀ + R₂ᵀ Q₂ᵀ`. The residual splits
+//! into a part with rows in `span(Q)` and a part with rows in
+//! `span(Q₂ R₂)`, which `Qᵀ Q₂ R₂ = 0` makes orthogonal, so per slice
+//!
+//! ```text
+//! ‖PZF_k·EDᵀ − H S_k Vᵀ‖² = ‖PZF_k·R̃ᵀ − H S_k·(VᵀQ)‖² + ‖H S_k·R₂ᵀ‖²
+//! ```
+//!
+//! on `R×R` blocks, `O(R³)`: `O(J R² + K R³)` per call, the cost of the
+//! Lemma 1–3 kernels. Both terms are sums of squares, so unlike the Gram
+//! expansion `‖Y‖² − 2⟨Y, M⟩ + ‖M‖²` nothing cancels: the value is `≥ 0`
+//! by construction and an exact model gives about `0`, not rounding noise
+//! at the scale of `‖Y‖²`.
 
+use crate::lemmas::K_CHUNK;
 use crate::session::Workspace;
-use dpar2_linalg::Mat;
+use dpar2_linalg::{qr_into, Mat};
 use dpar2_parallel::ThreadPool;
 
-/// One slice's compressed residual `‖PZF_k·EDᵀ − H S_k Vᵀ‖²_F`, computed
-/// into caller-owned scratch buffers. Shared by the serial (workspace) and
-/// pooled paths, so both produce bit-identical per-slice values.
-#[allow(clippy::too_many_arguments)]
-fn slice_residual_sq(
-    pzf_k: &Mat,
-    edt: &Mat,
-    h: &Mat,
-    wrow: &[f64],
-    v: &Mat,
-    yk: &mut Mat,
-    hs: &mut Mat,
-    model: &mut Mat,
-) -> f64 {
-    // ŷ_k = PZF_k · E Dᵀ  (R×J)
-    pzf_k.matmul_into(edt, yk);
-    // H S_k: scale column c of H by W(k, c).
-    hs.copy_from(h);
-    for i in 0..hs.rows() {
-        let row = hs.row_mut(i);
-        for (c, &wv) in wrow.iter().enumerate() {
-            row[c] *= wv;
+/// The per-call `R×R`-sized blocks of the projected criterion: `H`, `R̃`
+/// from `(E Dᵀ)ᵀ = Q R̃`, `QᵀV`, and `R₂` from `(I − QQᵀ)V = Q₂ R₂`.
+struct Blocks<'a> {
+    h: &'a Mat,
+    r_edt: &'a Mat,
+    qtv: &'a Mat,
+    r2: &'a Mat,
+}
+
+impl Blocks<'_> {
+    /// One slice's residual `‖PZF_k·R̃ᵀ − H S_k·(QᵀV)ᵀ‖² + ‖H S_k·R₂ᵀ‖²`
+    /// into caller-owned scratch. Shared by the serial and pooled paths, so
+    /// both produce bit-identical per-slice values.
+    fn slice_residual_sq(
+        &self,
+        pzf_k: &Mat,
+        wrow: &[f64],
+        hs: &mut Mat,
+        pred: &mut Mat,
+        model: &mut Mat,
+    ) -> f64 {
+        // H S_k: scale column c of H by W(k, c).
+        hs.copy_from(self.h);
+        for i in 0..hs.rows() {
+            let row = hs.row_mut(i);
+            for (c, &wv) in wrow.iter().enumerate() {
+                row[c] *= wv;
+            }
         }
+        // The part in span(Q): PZF_k·R̃ᵀ against H S_k·(QᵀV)ᵀ.
+        pzf_k.matmul_nt_into(self.r_edt, pred);
+        hs.matmul_nt_into(self.qtv, model);
+        let inside = pred.view().diff_norm_sq(&*model);
+        // The model's part outside span(Q), which the data lacks.
+        hs.matmul_nt_into(self.r2, model);
+        inside + model.fro_norm_sq()
     }
-    // model_k = H S_k Vᵀ (R×J), then the fused difference-norm
-    // (`MatRef::diff_norm_sq` carries the bit-identity ordering guarantee).
-    hs.matmul_nt_into(v, model);
-    yk.view().diff_norm_sq(&*model)
 }
 
 /// Evaluates the compressed residual
@@ -65,10 +96,13 @@ pub fn compressed_criterion(
     compressed_criterion_ws(pzf, edt, h, w, v, pool, &mut Workspace::new())
 }
 
-/// [`compressed_criterion`] against a caller-owned [`Workspace`]: the
-/// single-threaded path reuses the arena's criterion buffers and performs
-/// zero allocations; multi-threaded pools fan slices out as before.
-/// Bit-identical to [`compressed_criterion`] for every thread count.
+/// [`compressed_criterion`] against a caller-owned [`Workspace`], in the
+/// projected form of the module doc: two thin QRs on the calling thread
+/// (`O(J R²)`), then `O(R³)` per slice. The single-threaded path runs on
+/// the arena's criterion buffers and performs zero allocations; larger
+/// pools split the slices into fixed-width chunks with one scratch set per
+/// chunk. Per-slice values are summed in ascending `k` on both paths, so
+/// the result is bit-identical for every thread count.
 pub fn compressed_criterion_ws(
     pzf: &[Mat],
     edt: &Mat,
@@ -78,27 +112,46 @@ pub fn compressed_criterion_ws(
     pool: &ThreadPool,
     ws: &mut Workspace,
 ) -> f64 {
+    let Workspace {
+        qr,
+        crit_tall,
+        crit_q,
+        crit_r,
+        crit_qtv,
+        crit_r2,
+        crit_hs,
+        crit_pred,
+        crit_model,
+        ..
+    } = ws;
+    // (E Dᵀ)ᵀ = Q·R̃.
+    edt.view().transpose_into(crit_tall);
+    qr_into(&*crit_tall, crit_q, crit_r, qr);
+    // QᵀV, then (I − QQᵀ)·V = Q₂·R₂; Q₂ overwrites Q, which is done.
+    crit_q.matmul_tn_into(v, crit_qtv);
+    crit_q.matmul_into(&*crit_qtv, crit_tall);
+    for (x, &vx) in crit_tall.data_mut().iter_mut().zip(v.data()) {
+        *x = vx - *x;
+    }
+    qr_into(&*crit_tall, crit_q, crit_r2, qr);
+    let blocks = Blocks { h, r_edt: crit_r, qtv: crit_qtv, r2: crit_r2 };
+
     if pool.threads() == 1 {
         let mut total = 0.0;
         for (k, pzf_k) in pzf.iter().enumerate() {
-            total += slice_residual_sq(
-                pzf_k,
-                edt,
-                h,
-                w.row(k),
-                v,
-                &mut ws.crit_pred,
-                &mut ws.crit_hs,
-                &mut ws.crit_model,
-            );
+            total += blocks.slice_residual_sq(pzf_k, w.row(k), crit_hs, crit_pred, crit_model);
         }
         return total;
     }
-    let partial: Vec<f64> = pool.map(pzf, |k, pzf_k| {
-        let (mut yk, mut hs, mut model) = (Mat::default(), Mat::default(), Mat::default());
-        slice_residual_sq(pzf_k, edt, h, w.row(k), v, &mut yk, &mut hs, &mut model)
+    let mut partial = vec![0.0; pzf.len()];
+    pool.for_each_chunk_mut(&mut partial, K_CHUNK, |c, out| {
+        let (mut hs, mut pred, mut model) = (Mat::default(), Mat::default(), Mat::default());
+        for (off, out_k) in out.iter_mut().enumerate() {
+            let k = c * K_CHUNK + off;
+            *out_k = blocks.slice_residual_sq(&pzf[k], w.row(k), &mut hs, &mut pred, &mut model);
+        }
     });
-    partial.iter().sum()
+    partial.iter().fold(0.0, |total, &x| total + x)
 }
 
 /// The naive equivalent on explicit matrices — `Σ_k ‖Y_k − H S_k Vᵀ‖²_F`
@@ -206,16 +259,19 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
+        // K spans several fixed-width chunks, the last one partial.
         let mut rng = StdRng::seed_from_u64(203);
-        let (k, j, r) = (17, 6, 4);
+        let (k, j, r) = (3 * K_CHUNK + 5, 6, 4);
         let pzf: Vec<Mat> = (0..k).map(|_| gaussian_mat(r, r, &mut rng)).collect();
         let edt = gaussian_mat(r, j, &mut rng);
         let h = gaussian_mat(r, r, &mut rng);
         let w = gaussian_mat(k, r, &mut rng);
         let v = gaussian_mat(j, r, &mut rng);
         let c1 = compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(1));
-        let c3 = compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(3));
-        assert!((c1 - c3).abs() < 1e-9 * (1.0 + c1));
+        for threads in 2..=4 {
+            let ct = compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(threads));
+            assert_eq!(c1.to_bits(), ct.to_bits(), "threads = {threads}: {c1} vs {ct}");
+        }
     }
 
     #[test]

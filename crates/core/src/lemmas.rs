@@ -36,7 +36,7 @@ use dpar2_tensor::{mttkrp, Dense3};
 /// bit-identical for every thread count — the property `Dpar2::fit`'s
 /// determinism contract rests on. Work per chunk is `CHUNK` dense `R×R`
 /// accumulations, comfortably above scheduling overhead.
-const K_CHUNK: usize = 16;
+pub(crate) const K_CHUNK: usize = 16;
 
 /// Splits `0..k` into contiguous ranges of [`K_CHUNK`] slices (the last
 /// range may be shorter) for parallel reduction.
@@ -244,43 +244,32 @@ pub fn g3_ws(
     ws: &mut Workspace,
 ) {
     let r = h.rows();
-    let k_total = pzf.len();
+    out.resize_zeroed(pzf.len(), r);
     if pool.threads() == 1 {
-        let Workspace { lemma_tmp, col_out, .. } = ws;
-        out.resize_zeroed(k_total, r);
         for (k, pzf_k) in pzf.iter().enumerate() {
-            // T = PZF_k · edtv, then G⁽³⁾(k,r) = Σ_i H(i,r) T(i,r).
-            pzf_k.matmul_into(edtv, lemma_tmp);
-            col_out.clear();
-            col_out.resize(r, 0.0);
-            for i in 0..r {
-                let hrow = h.row(i);
-                let trow = lemma_tmp.row(i);
-                for (col, v) in col_out.iter_mut().enumerate() {
-                    *v += hrow[col] * trow[col];
-                }
-            }
-            out.set_row(k, col_out);
+            g3_row(pzf_k, edtv, h, &mut ws.lemma_tmp, out.row_mut(k));
         }
         return;
     }
-
-    let rows: Vec<Vec<f64>> = pool.map(pzf, |_, pzf_k| {
-        // T = PZF_k · edtv, then G⁽³⁾(k,r) = Σ_i H(i,r) T(i,r).
-        let t = pzf_k.matmul(edtv).expect("g3: PZF_k · edtv");
-        let mut row = vec![0.0; r];
-        for i in 0..r {
-            let hrow = h.row(i);
-            let trow = t.row(i);
-            for (col, v) in row.iter_mut().enumerate() {
-                *v += hrow[col] * trow[col];
-            }
+    // Fixed-width chunks of rows written in place, one scratch per chunk.
+    pool.for_each_chunk_mut(out.data_mut(), K_CHUNK * r, |c, rows| {
+        let mut t = Mat::default();
+        for (off, row) in rows.chunks_mut(r).enumerate() {
+            g3_row(&pzf[c * K_CHUNK + off], edtv, h, &mut t, row);
         }
-        row
     });
-    out.resize_zeroed(k_total, r);
-    for (k, row) in rows.iter().enumerate() {
-        out.set_row(k, row);
+}
+
+/// One row of Lemma 3 into a zeroed `row`: `T = PZF_k · edtv`, then
+/// `G⁽³⁾(k,r) = Σ_i H(i,r) T(i,r)`. Shared by the serial and pooled paths.
+fn g3_row(pzf_k: &Mat, edtv: &Mat, h: &Mat, t: &mut Mat, row: &mut [f64]) {
+    pzf_k.matmul_into(edtv, t);
+    for i in 0..h.rows() {
+        let hrow = h.row(i);
+        let trow = t.row(i);
+        for (col, v) in row.iter_mut().enumerate() {
+            *v += hrow[col] * trow[col];
+        }
     }
 }
 

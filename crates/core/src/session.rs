@@ -21,7 +21,7 @@ use crate::config::FitOptions;
 use crate::convergence::converged;
 use crate::error::Result;
 use crate::fitness::Parafac2Fit;
-use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
+use dpar2_linalg::{Mat, QrScratch, SvdFactors, SvdScratch};
 use dpar2_tensor::{IrregularTensor, MttkrpScratch};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,12 +57,24 @@ pub struct Workspace {
     pub slice_a: Mat,
     /// Second per-slice product scratch.
     pub slice_b: Mat,
-    /// Criterion scratch: the model row-block `H S_k Vᵀ` (or `Q_k H S_k`).
+    /// Criterion scratch: the model row-block `H S_k` (or `Q_k H S_k`).
     pub crit_hs: Mat,
-    /// Criterion scratch: the predicted slice.
+    /// Criterion scratch: the predicted slice (DPar2: `PZF_k·R̃ᵀ`).
     pub crit_pred: Mat,
-    /// Criterion scratch: the reconstructed slice.
+    /// Criterion scratch: the reconstructed slice (DPar2: its `R×R` blocks).
     pub crit_model: Mat,
+    /// Householder working store for the criterion's thin QRs.
+    pub qr: QrScratch,
+    /// Criterion `J×R` staging: `(E Dᵀ)ᵀ`, then `(I − QQᵀ)V`.
+    pub crit_tall: Mat,
+    /// Criterion orthonormal factor `Q` of `(E Dᵀ)ᵀ` (then `Q₂`).
+    pub crit_q: Mat,
+    /// Criterion triangular factor `R̃` of `(E Dᵀ)ᵀ = Q R̃`.
+    pub crit_r: Mat,
+    /// Criterion block `QᵀV`.
+    pub crit_qtv: Mat,
+    /// Criterion triangular factor `R₂` of `(I − QQᵀ)V = Q₂ R₂`.
+    pub crit_r2: Mat,
     /// Lemma-kernel running totals (one `R×R` accumulator per column).
     pub lemma_acc: Vec<Mat>,
     /// Lemma-kernel per-chunk partial sums.

@@ -5,10 +5,10 @@ use crate::config::FitOptions;
 use crate::convergence::compressed_criterion_ws;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::{Parafac2Fit, TimingBreakdown};
-use crate::lemmas::{g1_ws, g2_ws, g3_ws};
+use crate::lemmas::{g1_ws, g2_ws, g3_ws, K_CHUNK};
 use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver};
-use dpar2_linalg::pinv_into;
 use dpar2_linalg::svd::svd_thin_into;
+use dpar2_linalg::{pinv_into, qr};
 use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
@@ -332,11 +332,13 @@ impl Dpar2 {
         // Squared norm of the compressed data: `P_k Z_kᵀ` is orthogonal, so
         // ‖PZF_k·EDᵀ‖ = ‖F(k)·EDᵀ‖ for every iteration — computed once and
         // used for the absolute ("residual is already tiny") stop test.
-        // Slice-parallel; the ascending-k summation keeps the value
-        // bit-identical for every thread count.
-        let slice_norms: Vec<f64> =
-            pool.map(&ct.f_blocks, |_, f_k| f_k.matmul(&edt).expect("F(k)·EDᵀ").fro_norm_sq());
-        let data_norm_sq: f64 = slice_norms.iter().sum();
+        // With (EDᵀ)ᵀ = Q·R̃ and orthonormal Q, ‖F(k)·EDᵀ‖ = ‖F(k)·R̃ᵀ‖, an
+        // R×R product per slice summed in ascending k.
+        let r_edt = qr(edt.transpose()).r;
+        let data_norm_sq = ct
+            .f_blocks
+            .iter()
+            .fold(0.0, |total, f_k| total + f_k.matmul_nt(&r_edt).expect("F(k)·R̃ᵀ").fro_norm_sq());
 
         let mut edtv = edt.matmul(&v).expect("EDᵀ·V");
         // Z_k P_kᵀ kept for the final U_k recovery. `pzf` is fully
@@ -384,26 +386,32 @@ impl Dpar2 {
                     );
                 }
             } else {
-                let svd_out: Vec<(Mat, Mat)> = pool.map(&ct.f_blocks, |k, f_k| {
-                    let (mut zp, mut pzf_k) = (Mat::default(), Mat::default());
-                    slice_svd_update(
-                        f_k,
-                        &edtv,
-                        w.row(k),
-                        &h,
-                        &mut zp,
-                        &mut pzf_k,
-                        &mut SvdFactors::default(),
-                        &mut SvdScratch::default(),
-                        &mut Mat::default(),
-                        &mut Mat::default(),
-                    );
-                    (zp, pzf_k)
+                // Fixed-width chunks of slices, one scratch set per chunk,
+                // each writing its own `zpt`/`pzf` entries in place.
+                let mut chunks: Vec<(&mut [Mat], &mut [Mat])> =
+                    zpt.chunks_mut(K_CHUNK).zip(pzf.chunks_mut(K_CHUNK)).collect();
+                pool.for_each_chunk_mut(&mut chunks, 1, |c, pair| {
+                    let (zp_chunk, pzf_chunk) = &mut pair[0];
+                    let (mut svd_out, mut svd_ws) = (SvdFactors::default(), SvdScratch::default());
+                    let (mut t1, mut t2) = (Mat::default(), Mat::default());
+                    for (off, (zp, pzf_k)) in
+                        zp_chunk.iter_mut().zip(pzf_chunk.iter_mut()).enumerate()
+                    {
+                        let k = c * K_CHUNK + off;
+                        slice_svd_update(
+                            &ct.f_blocks[k],
+                            &edtv,
+                            w.row(k),
+                            &h,
+                            zp,
+                            pzf_k,
+                            &mut svd_out,
+                            &mut svd_ws,
+                            &mut t1,
+                            &mut t2,
+                        );
+                    }
                 });
-                for (k, (zp, pzf_k)) in svd_out.into_iter().enumerate() {
-                    zpt[k] = zp;
-                    pzf[k] = pzf_k;
-                }
             }
 
             // Lines 14–15: H update.

@@ -89,6 +89,67 @@ proptest! {
         prop_assert!((fast - slow).abs() < 1e-8 * (1.0 + slow));
     }
 
+    /// The criterion stays accurate on solver-shaped inputs near an exact
+    /// model: `edt = E·Dᵀ` with orthonormal `D`, `V = D·C + γ·N` inside
+    /// (`γ = 0`) or partly outside `span(D)`, and `PZF_k` exact up to a
+    /// perturbation `δ·G_k`. A `δ = γ = 1e-6` residual is about 1e-12 of
+    /// `‖Y‖²`, so a form that cancels against `‖Y‖²` loses most of its
+    /// digits here; the projected form keeps 1e-6 relative.
+    #[test]
+    fn criterion_accurate_near_exact_model(
+        seed in 0u64..500,
+        k in 1usize..40,
+        r in 1usize..5,
+        extra in 0usize..12,
+        delta_i in 0usize..2,
+        gamma_i in 0usize..3,
+    ) {
+        let delta = [1e-6, 1.0][delta_i];
+        let gamma = [0.0, 1e-6, 1.0][gamma_i];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let j = r + extra;
+        let d = qr::qr(gaussian_mat(j, r, &mut rng)).q;
+        let e: Vec<f64> = (0..r).map(|i| 3.0 - i as f64 * 0.5).collect();
+        let mut edt = d.transpose();
+        for (row, &ev) in e.iter().enumerate() {
+            edt.row_mut(row).iter_mut().for_each(|x| *x *= ev);
+        }
+        let c = gaussian_mat(r, r, &mut rng);
+        let mut v = d.matmul(&c).unwrap();
+        v.axpy(gamma, &gaussian_mat(j, r, &mut rng));
+        let h = gaussian_mat(r, r, &mut rng);
+        let w = gaussian_mat(k, r, &mut rng);
+        // PZF_k = H S_k Cᵀ E⁻¹ + δ·G_k, so PZF_k·EDᵀ = H S_k (D C)ᵀ + δ·G_k E Dᵀ.
+        let pzf: Vec<Mat> = (0..k)
+            .map(|kk| {
+                let mut hs = h.clone();
+                for i in 0..r {
+                    for (x, &wv) in hs.row_mut(i).iter_mut().zip(w.row(kk)) {
+                        *x *= wv;
+                    }
+                }
+                let mut p = hs.matmul_nt(&c).unwrap();
+                for i in 0..r {
+                    for (x, &ev) in p.row_mut(i).iter_mut().zip(&e) {
+                        *x /= ev;
+                    }
+                }
+                p.axpy(delta, &gaussian_mat(r, r, &mut rng));
+                p
+            })
+            .collect();
+        let y: Vec<Mat> = pzf.iter().map(|p| p.matmul(&edt).unwrap()).collect();
+        let slow = explicit_criterion(&y, &h, &w, &v);
+        for threads in [1, 3] {
+            let fast = compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(threads));
+            prop_assert!(fast >= 0.0);
+            prop_assert!(
+                (fast - slow).abs() <= 1e-6 * slow,
+                "threads {threads}: projected {fast:e} vs explicit {slow:e}"
+            );
+        }
+    }
+
     /// Fitness is always in (−∞, 1] and the solver never panics across
     /// shapes; on planted data it is near 1.
     #[test]
