@@ -53,7 +53,7 @@ impl Blocks<'_> {
     /// One slice's residual `‖PZF_k·R̃ᵀ − H S_k·(QᵀV)ᵀ‖² + ‖H S_k·R₂ᵀ‖²`
     /// into caller-owned scratch. Shared by the serial and pooled paths, so
     /// both produce bit-identical per-slice values.
-    fn slice_residual_sq(
+    fn residual_sq(
         &self,
         pzf_k: &Mat,
         wrow: &[f64],
@@ -139,7 +139,7 @@ pub fn compressed_criterion_ws(
     if pool.threads() == 1 {
         let mut total = 0.0;
         for (k, pzf_k) in pzf.iter().enumerate() {
-            total += blocks.slice_residual_sq(pzf_k, w.row(k), crit_hs, crit_pred, crit_model);
+            total += blocks.residual_sq(pzf_k, w.row(k), crit_hs, crit_pred, crit_model);
         }
         return total;
     }
@@ -148,7 +148,7 @@ pub fn compressed_criterion_ws(
         let (mut hs, mut pred, mut model) = (Mat::default(), Mat::default(), Mat::default());
         for (off, out_k) in out.iter_mut().enumerate() {
             let k = c * K_CHUNK + off;
-            *out_k = blocks.slice_residual_sq(&pzf[k], w.row(k), &mut hs, &mut pred, &mut model);
+            *out_k = blocks.residual_sq(&pzf[k], w.row(k), &mut hs, &mut pred, &mut model);
         }
     });
     partial.iter().fold(0.0, |total, &x| total + x)

@@ -35,7 +35,9 @@ use dpar2_tensor::{mttkrp, Dense3};
 /// chunk and then added in ascending chunk order, which makes `g1`/`g2`
 /// bit-identical for every thread count — the property `Dpar2::fit`'s
 /// determinism contract rests on. Work per chunk is `CHUNK` dense `R×R`
-/// accumulations, comfortably above scheduling overhead.
+/// accumulations, comfortably above scheduling overhead. The pooled
+/// per-slice steps (slice SVDs, Lemma 3, the criterion) use the same
+/// width for their chunks of slices, one scratch set per chunk.
 pub(crate) const K_CHUNK: usize = 16;
 
 /// Splits `0..k` into contiguous ranges of [`K_CHUNK`] slices (the last
