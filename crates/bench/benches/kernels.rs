@@ -10,6 +10,8 @@
 //!   (§III-E).
 //! * `partitioning` — greedy (Algorithm 4) vs round-robin.
 //! * `gemm` — the base matmul kernels everything sits on.
+//! * `slice_svd` — 16 small SVDs one at a time vs one lockstep batch, at
+//!   6×6 (serve-mixed's rank) and 10×10 (fit-tall's and fit-sparse's).
 //! * `two_stage_ablation` — two-stage compression vs stage-1-only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -21,7 +23,8 @@ use dpar2_core::lemmas::{g1, g2, g3, materialize_y, naive_g1, naive_g2, naive_g3
 use dpar2_data::planted_parafac2;
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
-use dpar2_linalg::{svd_truncated, Mat};
+use dpar2_linalg::svd::{svd_thin_batch_into, svd_thin_into};
+use dpar2_linalg::{svd_truncated, Mat, SvdBatchScratch, SvdFactors, SvdScratch};
 use dpar2_parallel::{greedy_partition, round_robin_partition, ThreadPool};
 use dpar2_rsvd::{rsvd, RsvdConfig};
 use rand::rngs::StdRng;
@@ -224,6 +227,33 @@ fn bench_two_stage_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_slice_svd(c: &mut Criterion) {
+    let mut group = c.benchmark_group("slice_svd");
+    group.sample_size(50);
+    let mut rng = StdRng::seed_from_u64(8);
+    for r in [6, 10] {
+        let inputs: Vec<Mat> = (0..16).map(|_| gaussian_mat(r, r, &mut rng)).collect();
+        let mut outs = vec![SvdFactors::default(); inputs.len()];
+        let mut scalar = SvdScratch::default();
+        group.bench_function(BenchmarkId::new("scalar_x16", format!("{r}x{r}")), |b| {
+            b.iter(|| {
+                for (a, out) in inputs.iter().zip(outs.iter_mut()) {
+                    svd_thin_into(a, out, &mut scalar);
+                }
+                black_box(&outs);
+            })
+        });
+        let mut batch = SvdBatchScratch::default();
+        group.bench_function(BenchmarkId::new("lockstep_x16", format!("{r}x{r}")), |b| {
+            b.iter(|| {
+                svd_thin_batch_into(&inputs, &mut outs, &mut batch);
+                black_box(&outs);
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rsvd_vs_exact,
@@ -232,6 +262,7 @@ criterion_group!(
     bench_convergence,
     bench_partitioning,
     bench_gemm,
-    bench_two_stage_ablation
+    bench_two_stage_ablation,
+    bench_slice_svd
 );
 criterion_main!(benches);

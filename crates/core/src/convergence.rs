@@ -35,7 +35,7 @@
 //! by construction and an exact model gives about `0`, not rounding noise
 //! at the scale of `‖Y‖²`.
 
-use crate::lemmas::K_CHUNK;
+use crate::lemmas::k_run;
 use crate::session::Workspace;
 use dpar2_linalg::{qr_into, Mat};
 use dpar2_parallel::ThreadPool;
@@ -100,8 +100,8 @@ pub fn compressed_criterion(
 /// projected form of the module doc: two thin QRs on the calling thread
 /// (`O(J R²)`), then `O(R³)` per slice. The single-threaded path runs on
 /// the arena's criterion buffers and performs zero allocations; larger
-/// pools split the slices into fixed-width chunks with one scratch set per
-/// chunk. Per-slice values are summed in ascending `k` on both paths, so
+/// pools split the slices into one run per worker call, each with one
+/// scratch set. Per-slice values are summed in ascending `k` on both paths, so
 /// the result is bit-identical for every thread count.
 pub fn compressed_criterion_ws(
     pzf: &[Mat],
@@ -144,10 +144,11 @@ pub fn compressed_criterion_ws(
         return total;
     }
     let mut partial = vec![0.0; pzf.len()];
-    pool.for_each_chunk_mut(&mut partial, K_CHUNK, |c, out| {
+    let run = k_run(pzf.len(), pool.threads());
+    pool.for_each_chunk_mut(&mut partial, run, |c, out| {
         let (mut hs, mut pred, mut model) = (Mat::default(), Mat::default(), Mat::default());
         for (off, out_k) in out.iter_mut().enumerate() {
-            let k = c * K_CHUNK + off;
+            let k = c * run + off;
             *out_k = blocks.residual_sq(&pzf[k], w.row(k), &mut hs, &mut pred, &mut model);
         }
     });
@@ -261,7 +262,7 @@ mod tests {
     fn deterministic_across_threads() {
         // K spans several fixed-width chunks, the last one partial.
         let mut rng = StdRng::seed_from_u64(203);
-        let (k, j, r) = (3 * K_CHUNK + 5, 6, 4);
+        let (k, j, r) = (3 * crate::lemmas::K_CHUNK + 5, 6, 4);
         let pzf: Vec<Mat> = (0..k).map(|_| gaussian_mat(r, r, &mut rng)).collect();
         let edt = gaussian_mat(r, j, &mut rng);
         let h = gaussian_mat(r, r, &mut rng);

@@ -35,10 +35,20 @@ use dpar2_tensor::{mttkrp, Dense3};
 /// chunk and then added in ascending chunk order, which makes `g1`/`g2`
 /// bit-identical for every thread count — the property `Dpar2::fit`'s
 /// determinism contract rests on. Work per chunk is `CHUNK` dense `R×R`
-/// accumulations, comfortably above scheduling overhead. The pooled
-/// per-slice steps (slice SVDs, Lemma 3, the criterion) use the same
-/// width for their chunks of slices, one scratch set per chunk.
+/// accumulations, comfortably above scheduling overhead. DPar2's slice
+/// step also batches its `R×R` SVDs one chunk at a time. The pooled
+/// per-slice steps (slice SVDs, Lemma 3, the criterion) reduce nothing
+/// across slices, so each worker call takes a contiguous run of chunks
+/// ([`k_run`]) with one scratch set.
 pub(crate) const K_CHUNK: usize = 16;
+
+/// Slices per worker call of the pooled per-slice steps: whole
+/// [`K_CHUNK`] chunks, about `ceil(chunks / threads)` of them, so each
+/// thread builds one scratch set per step instead of one per chunk. Their
+/// outputs are per slice, so the split cannot change bits.
+pub(crate) fn k_run(k: usize, threads: usize) -> usize {
+    K_CHUNK * k.div_ceil(K_CHUNK).div_ceil(threads.max(1)).max(1)
+}
 
 /// Splits `0..k` into contiguous ranges of [`K_CHUNK`] slices (the last
 /// range may be shorter) for parallel reduction.
@@ -253,11 +263,12 @@ pub fn g3_ws(
         }
         return;
     }
-    // Fixed-width chunks of rows written in place, one scratch per chunk.
-    pool.for_each_chunk_mut(out.data_mut(), K_CHUNK * r, |c, rows| {
+    // Runs of rows written in place, one scratch per worker call.
+    let run = k_run(pzf.len(), pool.threads());
+    pool.for_each_chunk_mut(out.data_mut(), run * r, |c, rows| {
         let mut t = Mat::default();
         for (off, row) in rows.chunks_mut(r).enumerate() {
-            g3_row(&pzf[c * K_CHUNK + off], edtv, h, &mut t, row);
+            g3_row(&pzf[c * run + off], edtv, h, &mut t, row);
         }
     });
 }

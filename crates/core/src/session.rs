@@ -21,7 +21,7 @@ use crate::config::FitOptions;
 use crate::convergence::converged;
 use crate::error::Result;
 use crate::fitness::Parafac2Fit;
-use dpar2_linalg::{Mat, QrScratch, SvdFactors, SvdScratch};
+use dpar2_linalg::{Mat, QrScratch, SvdBatchScratch, SvdFactors, SvdScratch};
 use dpar2_tensor::{IrregularTensor, MttkrpScratch};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,6 +53,13 @@ pub struct Workspace {
     pub svd_tmp: SvdFactors,
     /// Unfolding/Khatri-Rao scratch for the textbook MTTKRP baselines.
     pub mttkrp: MttkrpScratch,
+    /// Batched-SVD scratch of DPar2's slice step.
+    pub svd_batch: SvdBatchScratch,
+    /// DPar2 slice-step SVD inputs `F(k)·EDᵀV·S_k·Hᵀ`, one per slice of a
+    /// chunk.
+    pub slice_in: Vec<Mat>,
+    /// DPar2 slice-step SVD outputs, one per slice of a chunk.
+    pub slice_svd: Vec<SvdFactors>,
     /// Per-slice product scratch (`R×R` or `I_k×R` scale).
     pub slice_a: Mat,
     /// Second per-slice product scratch.

@@ -5,11 +5,10 @@ use crate::config::FitOptions;
 use crate::convergence::compressed_criterion_ws;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::{Parafac2Fit, TimingBreakdown};
-use crate::lemmas::{g1_ws, g2_ws, g3_ws, K_CHUNK};
-use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver};
-use dpar2_linalg::svd::svd_thin_into;
-use dpar2_linalg::{pinv_into, qr};
-use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
+use crate::lemmas::{g1_ws, g2_ws, g3_ws, k_run, K_CHUNK};
+use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver, Workspace};
+use dpar2_linalg::svd::svd_thin_batch_into;
+use dpar2_linalg::{pinv_into, qr, Mat, SvdFactors};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
 use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
@@ -370,47 +369,18 @@ impl Dpar2 {
             let ws = session.workspace();
 
             // Lines 8–10: per-slice R×R SVD of F(k)·(E Dᵀ V)·S_k·Hᵀ.
+            let step = SliceStep { f_blocks: &ct.f_blocks, edtv: &edtv, w: &w, h: &h };
             if serial {
-                for k in 0..k_dim {
-                    slice_svd_update(
-                        &ct.f_blocks[k],
-                        &edtv,
-                        w.row(k),
-                        &h,
-                        &mut zpt[k],
-                        &mut pzf[k],
-                        &mut ws.svd_out,
-                        &mut ws.svd,
-                        &mut ws.slice_a,
-                        &mut ws.slice_b,
-                    );
-                }
+                step.run(0, &mut zpt, &mut pzf, ws);
             } else {
-                // Fixed-width chunks of slices, one scratch set per chunk,
-                // each writing its own `zpt`/`pzf` entries in place.
-                let mut chunks: Vec<(&mut [Mat], &mut [Mat])> =
-                    zpt.chunks_mut(K_CHUNK).zip(pzf.chunks_mut(K_CHUNK)).collect();
-                pool.for_each_chunk_mut(&mut chunks, 1, |c, pair| {
-                    let (zp_chunk, pzf_chunk) = &mut pair[0];
-                    let (mut svd_out, mut svd_ws) = (SvdFactors::default(), SvdScratch::default());
-                    let (mut t1, mut t2) = (Mat::default(), Mat::default());
-                    for (off, (zp, pzf_k)) in
-                        zp_chunk.iter_mut().zip(pzf_chunk.iter_mut()).enumerate()
-                    {
-                        let k = c * K_CHUNK + off;
-                        slice_svd_update(
-                            &ct.f_blocks[k],
-                            &edtv,
-                            w.row(k),
-                            &h,
-                            zp,
-                            pzf_k,
-                            &mut svd_out,
-                            &mut svd_ws,
-                            &mut t1,
-                            &mut t2,
-                        );
-                    }
+                // One contiguous run of slices per worker call, each with
+                // one scratch set, writing its own `zpt`/`pzf` entries.
+                let run = k_run(k_dim, pool.threads());
+                let mut runs: Vec<(&mut [Mat], &mut [Mat])> =
+                    zpt.chunks_mut(run).zip(pzf.chunks_mut(run)).collect();
+                pool.for_each_chunk_mut(&mut runs, 1, |c, pair| {
+                    let (zp_run, pzf_run) = &mut pair[0];
+                    step.run(c * run, zp_run, pzf_run, &mut Workspace::new());
                 });
             }
 
@@ -482,37 +452,51 @@ impl Dpar2 {
     }
 }
 
-/// One slice's `Q_k` step (lines 8–13): the `R×R` SVD of
-/// `F(k)·(EDᵀV)·S_k·Hᵀ` plus the factorized-slice refresh, entirely into
-/// caller-owned buffers. Shared by the serial (workspace-backed) and
-/// pooled paths so both are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn slice_svd_update(
-    f_k: &Mat,
-    edtv: &Mat,
-    wrow: &[f64],
-    h: &Mat,
-    zp: &mut Mat,
-    pzf_k: &mut Mat,
-    svd_out: &mut SvdFactors,
-    svd_ws: &mut SvdScratch,
-    t1: &mut Mat,
-    t2: &mut Mat,
-) {
-    f_k.matmul_into(edtv, t1); // F(k)·EDᵀV
-                               // · S_k (diagonal, scale columns by W(k,:))
-    for i in 0..t1.rows() {
-        let row = t1.row_mut(i);
-        for (c, &wv) in wrow.iter().enumerate() {
-            row[c] *= wv;
+/// The `Q_k` step (lines 8–13) over a run of slices: per [`K_CHUNK`]
+/// chunk, form every slice's `R×R` matrix `F(k)·(EDᵀV)·S_k·Hᵀ`, factor
+/// the chunk in one batched SVD, then refresh `Z_k P_kᵀ` and
+/// `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` per slice. Shared by the serial
+/// (workspace-backed) and pooled paths; each slice's result depends on
+/// nothing but its own inputs, so both are bit-identical.
+struct SliceStep<'a> {
+    f_blocks: &'a [Mat],
+    edtv: &'a Mat,
+    w: &'a Mat,
+    h: &'a Mat,
+}
+
+impl SliceStep<'_> {
+    /// Runs slices `k0..k0 + zpt.len()` into `zpt`/`pzf` on `ws`'s
+    /// slice-step slots.
+    fn run(&self, k0: usize, zpt: &mut [Mat], pzf: &mut [Mat], ws: &mut Workspace) {
+        let Workspace { svd_batch, slice_in, slice_svd, slice_a, .. } = ws;
+        let chunks = zpt.chunks_mut(K_CHUNK).zip(pzf.chunks_mut(K_CHUNK));
+        for (c, (zp_chunk, pzf_chunk)) in chunks.enumerate() {
+            let (k_start, len) = (k0 + c * K_CHUNK, zp_chunk.len());
+            if slice_in.len() < len {
+                slice_in.resize_with(len, Mat::default);
+                slice_svd.resize_with(len, SvdFactors::default);
+            }
+            for (off, input) in slice_in[..len].iter_mut().enumerate() {
+                let k = k_start + off;
+                // F(k)·EDᵀV, then · S_k (diagonal: scale columns by W(k,:)).
+                self.f_blocks[k].matmul_into(self.edtv, slice_a);
+                for i in 0..slice_a.rows() {
+                    let row = slice_a.row_mut(i);
+                    for (col, &wv) in self.w.row(k).iter().enumerate() {
+                        row[col] *= wv;
+                    }
+                }
+                slice_a.matmul_nt_into(self.h, input); // · Hᵀ
+            }
+            svd_thin_batch_into(&slice_in[..len], &mut slice_svd[..len], svd_batch);
+            for (off, (zp, pzf_k)) in zp_chunk.iter_mut().zip(pzf_chunk.iter_mut()).enumerate() {
+                let f = &slice_svd[off];
+                f.u.matmul_nt_into(&f.v, zp);
+                zp.matmul_tn_into(&self.f_blocks[k_start + off], pzf_k);
+            }
         }
     }
-    // · Hᵀ, then the small SVD.
-    t1.matmul_nt_into(h, t2);
-    svd_thin_into(&*t2, svd_out, svd_ws);
-    // Z_k P_kᵀ and PZF_k = P_k Z_kᵀ F(k) = (Z_k P_kᵀ)ᵀ F(k).
-    svd_out.u.matmul_nt_into(&svd_out.v, zp);
-    zp.matmul_tn_into(f_k, pzf_k);
 }
 
 impl Parafac2Solver for Dpar2 {

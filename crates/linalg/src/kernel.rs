@@ -37,9 +37,10 @@
 //!   AVX2+FMA the tile runs as explicit `vfmadd231pd` intrinsics;
 //!   otherwise a portable auto-vectorized `a*b + c` fallback is used
 //!   (plain `mul_add` without hardware FMA lowers to a slow libm call).
-//!   This is the crate's single, narrowly-scoped `unsafe` exception: the
-//!   SIMD tile plus the `#[target_feature]` call, guarded by the matching
-//!   `is_x86_feature_detected!` check.
+//!   This is one of the crate's two narrowly-scoped `unsafe` exceptions:
+//!   the SIMD tile plus the `#[target_feature]` call, guarded by the
+//!   matching `is_x86_feature_detected!` check. (The other is the AVX2
+//!   lockstep Jacobi sweep in [`crate::svd`], built the same way.)
 //! * **Parallelism**: [`gemm_pooled_into`] row-partitions C into `MC`-row
 //!   panels and fans them out over
 //!   [`dpar2_parallel::ThreadPool::for_each_chunk_mut`]. Each panel is

@@ -18,7 +18,9 @@
 //!   results for every thread count.
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
-//!   preconditioning for tall matrices), plus rank-truncated variants.
+//!   preconditioning for tall matrices), plus rank-truncated variants and
+//!   a batched entry point that sweeps four small same-shape matrices in
+//!   lockstep on AVX2, bit-identical to one-at-a-time calls.
 //! * [`eig`] — cyclic Jacobi eigendecomposition of symmetric matrices.
 //! * [`mod@pinv`] — Moore–Penrose pseudoinverse via the SVD, as required by the
 //!   CP-ALS update rules (the `†` operator in Algorithm 2/3 of the paper).
@@ -31,10 +33,11 @@
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
-//! The crate is safe Rust except for one narrowly-scoped exception in
-//! [`kernel`]: invoking the runtime-feature-dispatched AVX2/FMA microkernel
-//! (`#[target_feature]` functions are `unsafe` to call; the call is guarded
-//! by `is_x86_feature_detected!`).
+//! The crate is safe Rust except for two narrowly-scoped exceptions, both
+//! runtime-feature-dispatched SIMD (`#[target_feature]` functions are
+//! `unsafe` to call; each call is guarded by a cached
+//! `is_x86_feature_detected!` check): the AVX2/FMA GEMM microkernel in
+//! [`kernel`], and the AVX2 lockstep Jacobi sweep in [`svd`].
 //!
 //! ## Example
 //!
@@ -71,7 +74,7 @@ pub use pinv::{pinv, pinv_into};
 pub use qr::{qr, qr_into, QrFactors, QrScratch};
 pub use random::{gaussian_mat, uniform_mat};
 pub use sparse::{CooBuilder, SparseSlice};
-pub use svd::{svd_thin, svd_truncated, SvdFactors, SvdScratch};
+pub use svd::{svd_thin, svd_truncated, SvdBatchScratch, SvdFactors, SvdScratch};
 pub use view::{AsMatRef, MatMut, MatRef};
 
 /// Machine-epsilon-scale tolerance used across factorization routines when

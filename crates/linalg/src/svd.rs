@@ -16,6 +16,39 @@
 //! for the small/medium matrices these algorithms produce. Tall matrices are
 //! QR-preconditioned first (`A = Q·R`, Jacobi on `R`); wide matrices are
 //! transposed.
+//!
+//! ## Scale window
+//!
+//! The sweep's skip test has an absolute floor (`1e-30`) and forms
+//! `app·aqq` and `‖A‖²_F`, so on its own it depends on the scale of the
+//! input: below `‖A‖_F ≈ 3e-8` it skips rotations it needs, and huge inputs
+//! overflow. Every factorization therefore first checks `‖A‖_F` against a
+//! window, `[2^-24, 2^200]`, inside which neither threshold can bind on
+//! scale alone. An input outside it is multiplied by the power of two that
+//! brings its largest entry into `[1, 2)`, and the singular values are
+//! scaled back. Power-of-two scaling is exact, so the rotations are those
+//! of the scaled matrix; in-window inputs are not touched and keep their
+//! bits.
+//!
+//! ## Lockstep sweeps
+//!
+//! A single sweep is latency-bound: each rotation waits for its dot
+//! products and its div/sqrt chain before the next can start.
+//! [`svd_thin_batch_into`] factors many inputs per call and, on CPUs with
+//! AVX2, sweeps up to four same-shape matrices at once, one per lane of a
+//! 256-bit register, their entries interleaved. Each lane runs the scalar
+//! operation sequence unchanged — ascending-row dot products with one
+//! accumulator each, the same skip test and `zeta → t → c → s` formulas,
+//! separate multiply and add, never FMA — a lane that skips a pair keeps
+//! its columns through a blend, and a lane stops after its first sweep
+//! without a rotation, exactly where the scalar loop stops. So every lane
+//! returns the bits [`svd_thin_into`] returns. Only inputs whose Jacobi
+//! core needs no QR preconditioning and whose entries are finite go to
+//! lockstep; the rest, and every input on other CPUs, take the scalar path
+//! one at a time. Single calls stay scalar too: one matrix alone in
+//! lockstep is slower than the scalar sweep. The SIMD sweep is the crate's
+//! second contained `unsafe` exception, built like the GEMM microkernel in
+//! [`crate::kernel`].
 
 use crate::mat::Mat;
 use crate::qr::{qr_into, QrScratch};
@@ -74,14 +107,8 @@ pub struct SvdScratch {
     w: Vec<f64>,
     /// Accumulated right-rotation matrix before sorting.
     v: Mat,
-    /// Column norms (candidate singular values) before sorting.
-    sigmas: Vec<f64>,
-    /// Column permutation sorting the spectrum descending.
-    order: Vec<usize>,
-    /// Indices of numerically-null columns of `U` to re-orthonormalize.
-    deficient: Vec<usize>,
-    /// Gram–Schmidt candidate vector for basis completion.
-    cand: Vec<f64>,
+    /// Buffers of the post-sweep tail.
+    tail: TailScratch,
     /// QR-preconditioning scratch (tall inputs).
     qr: QrScratch,
     /// QR factors of tall inputs.
@@ -91,6 +118,116 @@ pub struct SvdScratch {
     u_inner: Mat,
     /// Transposed copy for wide inputs.
     trans: Mat,
+    /// Power-of-two rescaled copy for inputs outside [`SCALE_WINDOW`].
+    scaled: Mat,
+}
+
+/// Buffers of [`jacobi_finish`], shared by the scalar and lockstep paths.
+#[derive(Debug, Default)]
+struct TailScratch {
+    /// Column norms (candidate singular values) before sorting.
+    sigmas: Vec<f64>,
+    /// Column permutation sorting the spectrum descending.
+    order: Vec<usize>,
+    /// Indices of numerically-null columns of `U` to re-orthonormalize.
+    deficient: Vec<usize>,
+    /// Gram–Schmidt candidate vector for basis completion.
+    cand: Vec<f64>,
+}
+
+/// Frobenius-norm window inside which the sweep's thresholds cannot bind
+/// on scale alone. The skip test's absolute floor `1e-30` exceeds the
+/// relative `1e-15·‖A‖²` only for `‖A‖ < 3.2e-8`, below `2^-24 ≈ 6e-8`;
+/// up to `2^200`, `app·aqq ≤ ‖A‖⁴ ≤ 2^800` and `‖A‖²` stay far from
+/// overflow. Inputs outside it are scaled so that their largest entry
+/// lies in `[1, 2)`, which puts `‖A‖` in `[1, 2√(mn)]`.
+const SCALE_WINDOW: (f64, f64) = (pow2(-24), pow2(200));
+
+/// `2^k` for `-1022 ≤ k ≤ 1023`, exactly.
+const fn pow2(k: i32) -> f64 {
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
+
+/// The power of two that brings `a` into [`SCALE_WINDOW`], or `None` when
+/// its norm `fro` is already inside (or `a` is zero or non-finite, which
+/// no scaling helps).
+fn window_scale(a: MatRef<'_>, fro: f64) -> Option<f64> {
+    if fro.is_nan() || (SCALE_WINDOW.0..=SCALE_WINDOW.1).contains(&fro) {
+        return None;
+    }
+    let amax = a.max_abs();
+    if amax == 0.0 || !amax.is_finite() {
+        return None;
+    }
+    // Unbiased exponent of the largest entry (subnormals clamp to -1022).
+    let e = ((amax.to_bits() >> 52) as i32 - 1023).clamp(-1022, 1022);
+    Some(pow2(-e))
+}
+
+/// What [`prepare`] did to an input before the Jacobi core sees it.
+#[derive(Debug, Default, Clone, Copy)]
+struct Prepared {
+    /// The input was wide and is factorized transposed: `U` and `V` swap.
+    wide: bool,
+    /// Frobenius norm of the prepared matrix.
+    fro: f64,
+    /// Power of two that maps the prepared singular values back to the
+    /// input's (`1.0` unless the input was rescaled).
+    unscale: f64,
+}
+
+impl Prepared {
+    /// The `(U, s, V)` output slots of the prepared matrix's factorization.
+    fn slots<'o>(&self, out: &'o mut SvdFactors) -> (&'o mut Mat, &'o mut Vec<f64>, &'o mut Mat) {
+        if self.wide {
+            (&mut out.v, &mut out.s, &mut out.u)
+        } else {
+            (&mut out.u, &mut out.s, &mut out.v)
+        }
+    }
+
+    /// Maps the prepared singular values back to the input's scale.
+    fn unscale(&self, s: &mut [f64]) {
+        if self.unscale != 1.0 {
+            for x in s {
+                *x *= self.unscale;
+            }
+        }
+    }
+}
+
+/// The preprocessing every factorization shares: wide inputs are
+/// transposed into `trans`, and inputs outside [`SCALE_WINDOW`] are
+/// rescaled by a power of two into `scaled`. Returns the matrix the core
+/// factorizes (`m ≥ n`) and what was done to reach it.
+fn prepare<'a>(a: MatRef<'a>, trans: &'a mut Mat, scaled: &'a mut Mat) -> (MatRef<'a>, Prepared) {
+    let wide = a.rows() < a.cols();
+    let a = if wide {
+        a.transpose_into(trans);
+        let t: &'a Mat = trans;
+        t.view()
+    } else {
+        a
+    };
+    let fro = a.fro_norm();
+    let Some(scale) = window_scale(a, fro) else {
+        return (a, Prepared { wide, fro, unscale: 1.0 });
+    };
+    scaled.resize_zeroed(a.rows(), a.cols());
+    for i in 0..a.rows() {
+        for (y, &x) in scaled.row_mut(i).iter_mut().zip(a.row(i)) {
+            *y = x * scale;
+        }
+    }
+    let s: &'a Mat = scaled;
+    (s.view(), Prepared { wide, fro: s.fro_norm(), unscale: 1.0 / scale })
+}
+
+/// True when an `m × n` (`m ≥ n`) Jacobi input is QR-preconditioned first:
+/// sweeps cost O(m n²) each, so shrinking the row dimension to n pays off
+/// whenever m is even modestly larger than n (and never hurts accuracy).
+fn needs_qr(m: usize, n: usize) -> bool {
+    m > n + n / 4
 }
 
 /// Thin SVD of an arbitrary dense matrix.
@@ -116,35 +253,38 @@ pub fn svd_thin_into(a: impl AsMatRef, out: &mut SvdFactors, ws: &mut SvdScratch
         out.v.resize_zeroed(n, 0);
         return;
     }
-    if m < n {
-        // Wide: factorize the transpose with U/V output slots swapped.
-        let mut t = std::mem::take(&mut ws.trans);
-        a.transpose_into(&mut t);
-        svd_tall_into(t.view(), &mut out.v, &mut out.s, &mut out.u, ws);
-        ws.trans = t;
-        return;
-    }
-    svd_tall_into(a, &mut out.u, &mut out.s, &mut out.v, ws);
+    let (mut trans, mut scaled) = (std::mem::take(&mut ws.trans), std::mem::take(&mut ws.scaled));
+    let (a, prep) = prepare(a, &mut trans, &mut scaled);
+    let (u, s, v) = prep.slots(out);
+    svd_tall_into(a, prep.fro, u, s, v, ws);
+    prep.unscale(s);
+    ws.trans = trans;
+    ws.scaled = scaled;
 }
 
-/// Tall/square driver (`m ≥ n`): QR-precondition when noticeably tall.
-fn svd_tall_into(a: MatRef<'_>, u: &mut Mat, s: &mut Vec<f64>, v: &mut Mat, ws: &mut SvdScratch) {
+/// Tall/square dispatch (`m ≥ n`, Frobenius norm `fro`): QR-precondition
+/// when noticeably tall.
+fn svd_tall_into(
+    a: MatRef<'_>,
+    fro: f64,
+    u: &mut Mat,
+    s: &mut Vec<f64>,
+    v: &mut Mat,
+    ws: &mut SvdScratch,
+) {
     let (m, n) = a.shape();
     debug_assert!(m >= n);
-    // QR preconditioning: Jacobi sweeps cost O(m n²) each, so shrinking the
-    // row dimension to n first is a large win whenever m is even modestly
-    // larger than n (and never hurts accuracy).
-    if m > n + n / 4 {
+    if needs_qr(m, n) {
         qr_into(a, &mut ws.qr_q, &mut ws.qr_r, &mut ws.qr);
         let mut u_inner = std::mem::take(&mut ws.u_inner);
         let r = std::mem::take(&mut ws.qr_r);
-        jacobi_svd_into(r.view(), &mut u_inner, s, v, ws);
+        jacobi_svd_into(r.view(), r.fro_norm(), &mut u_inner, s, v, ws);
         ws.qr_q.matmul_into(&u_inner, u);
         ws.u_inner = u_inner;
         ws.qr_r = r;
         return;
     }
-    jacobi_svd_into(a, u, s, v, ws);
+    jacobi_svd_into(a, fro, u, s, v, ws);
 }
 
 /// Rank-`r` truncated SVD: the leading `r` singular triplets of `a`.
@@ -189,7 +329,8 @@ pub fn truncate(f: &SvdFactors, r: usize) -> SvdFactors {
     }
 }
 
-/// One-sided Jacobi SVD for `m ≥ n`, writing into caller buffers.
+/// One-sided Jacobi SVD for `m ≥ n` with Frobenius norm `fro`, writing
+/// into caller buffers.
 ///
 /// Works on `W = A` column-wise: each rotation orthogonalizes one pair of
 /// columns of `W` while accumulating the same rotation into `V`. On
@@ -198,6 +339,7 @@ pub fn truncate(f: &SvdFactors, r: usize) -> SvdFactors {
 /// rotation loops stream contiguous memory.
 fn jacobi_svd_into(
     a: MatRef<'_>,
+    fro: f64,
     u: &mut Mat,
     s: &mut Vec<f64>,
     v_out: &mut Mat,
@@ -221,7 +363,6 @@ fn jacobi_svd_into(
         v.set(i, i, 1.0);
     }
 
-    let fro: f64 = a.fro_norm();
     if fro == 0.0 {
         // Zero matrix: arbitrary orthonormal factors, zero spectrum.
         u.resize_zeroed(m, n);
@@ -233,7 +374,7 @@ fn jacobi_svd_into(
         v_out.copy_from(&*v);
         return;
     }
-    let tol = 1e-15 * fro * fro;
+    let thresh = skip_floor(fro);
 
     for _sweep in 0..MAX_SWEEPS {
         let mut rotated = false;
@@ -248,7 +389,7 @@ fn jacobi_svd_into(
                     aqq += wq * wq;
                     apq += wp * wq;
                 }
-                if apq.abs() <= tol.max(1e-30) || apq.abs() <= 1e-15 * (app * aqq).sqrt() {
+                if apq.abs() <= thresh || apq.abs() <= 1e-15 * (app * aqq).sqrt() {
                     continue;
                 }
                 rotated = true;
@@ -279,12 +420,36 @@ fn jacobi_svd_into(
             break;
         }
     }
+    jacobi_finish(w, m, v, u, s, v_out, &mut ws.tail);
+}
 
+/// The absolute part of the sweep's skip test for an input of Frobenius
+/// norm `fro`: `|apq|` at or below it counts as already orthogonal.
+fn skip_floor(fro: f64) -> f64 {
+    let tol = 1e-15 * fro * fro;
+    tol.max(1e-30)
+}
+
+/// The post-sweep tail shared by the scalar and lockstep paths: from the
+/// swept column-major `w` (`m × n`) and accumulated rotations `v`, the
+/// column norms become the singular values, sorted descending, `U` is `w`
+/// with normalized columns (completed to an orthonormal basis where the
+/// input is rank-deficient) and `V` is `v` permuted to match.
+fn jacobi_finish(
+    w: &[f64],
+    m: usize,
+    v: &Mat,
+    u: &mut Mat,
+    s: &mut Vec<f64>,
+    v_out: &mut Mat,
+    tail: &mut TailScratch,
+) {
+    let n = v.rows();
     // Column norms are the singular values.
-    let order = &mut ws.order;
+    let order = &mut tail.order;
     order.clear();
     order.extend(0..n);
-    let sigmas = &mut ws.sigmas;
+    let sigmas = &mut tail.sigmas;
     sigmas.clear();
     sigmas
         .extend(w.chunks_exact(m.max(1)).map(|col| col.iter().map(|&x| x * x).sum::<f64>().sqrt()));
@@ -297,7 +462,7 @@ fn jacobi_svd_into(
     v_out.resize_zeroed(n, n);
     let sigma_max = order.first().map(|&i| sigmas[i]).unwrap_or(0.0);
     let rank_tol = sigma_max * 1e-14;
-    ws.deficient.clear();
+    tail.deficient.clear();
     for (new_j, &old_j) in order.iter().enumerate() {
         let sigma = sigmas[old_j];
         s.push(sigma);
@@ -308,7 +473,7 @@ fn jacobi_svd_into(
                 u.set(i, new_j, col[i] * inv);
             }
         } else {
-            ws.deficient.push(new_j);
+            tail.deficient.push(new_j);
         }
         for i in 0..n {
             v_out.set(i, new_j, v.at(i, old_j));
@@ -316,8 +481,8 @@ fn jacobi_svd_into(
     }
     // Rank-deficient inputs leave null columns in U; PARAFAC2's Q_k update
     // needs a fully orthonormal U, so complete the basis deterministically.
-    if !ws.deficient.is_empty() {
-        complete_orthonormal_columns(u, &ws.deficient, &mut ws.cand);
+    if !tail.deficient.is_empty() {
+        complete_orthonormal_columns(u, &tail.deficient, &mut tail.cand);
     }
 }
 
@@ -326,6 +491,293 @@ fn pair_mut(w: &mut [f64], m: usize, p: usize, q: usize) -> (&mut [f64], &mut [f
     debug_assert!(p < q);
     let (lo, hi) = w.split_at_mut(q * m);
     (&mut lo[p * m..(p + 1) * m], &mut hi[..m])
+}
+
+/// Matrices swept together by the lockstep path: one per lane of a
+/// 256-bit register.
+const LANES: usize = 4;
+
+/// Reusable scratch for [`svd_thin_batch_into`]. As with [`SvdScratch`],
+/// buffers grow to the largest batch seen, so a second same-shape batch on
+/// the same instance performs no heap allocations.
+#[derive(Debug, Default)]
+pub struct SvdBatchScratch {
+    /// Scalar-path scratch; its staging copies and tail buffers also serve
+    /// the lockstep lanes.
+    scalar: SvdScratch,
+    /// Inputs queued for lockstep, sorted by Jacobi shape.
+    queue: Vec<usize>,
+    /// Lane-interleaved working store: entry `(i, j)` of lane `l` at
+    /// `w[(j·m + i)·LANES + l]`.
+    w: Vec<f64>,
+    /// Lane-interleaved rotations, the same layout with `n` rows.
+    v: Vec<f64>,
+}
+
+/// Thin SVDs of many inputs: `outs[i]` gets exactly the bits
+/// [`svd_thin_into`] returns for `inputs[i]`.
+///
+/// On CPUs with AVX2, inputs that need no QR preconditioning and have
+/// finite entries are swept four same-shape matrices at a time (see the
+/// module doc); everything else, and every input on other CPUs, takes the
+/// scalar path one matrix at a time.
+///
+/// # Panics
+/// Panics if `inputs` and `outs` differ in length.
+pub fn svd_thin_batch_into<A: AsMatRef>(
+    inputs: &[A],
+    outs: &mut [SvdFactors],
+    ws: &mut SvdBatchScratch,
+) {
+    assert_eq!(
+        inputs.len(),
+        outs.len(),
+        "svd_thin_batch_into: {} inputs, {} outputs",
+        inputs.len(),
+        outs.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = Avx2::detect() {
+        lockstep_batch(inputs, outs, ws, avx2);
+        return;
+    }
+    scalar_batch(inputs, outs, &mut ws.scalar);
+}
+
+/// The batch entry's fallback for CPUs without AVX2: every input through
+/// [`svd_thin_into`].
+fn scalar_batch<A: AsMatRef>(inputs: &[A], outs: &mut [SvdFactors], ws: &mut SvdScratch) {
+    for (a, out) in inputs.iter().zip(outs) {
+        svd_thin_into(a, out, ws);
+    }
+}
+
+/// Proof that the CPU supports AVX2: only [`Avx2::detect`] makes one, so
+/// holding one is what licenses calling [`sweeps_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+struct Avx2(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// Cached runtime CPU-feature probe.
+    fn detect() -> Option<Avx2> {
+        use std::sync::OnceLock;
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")).then_some(Avx2(()))
+    }
+}
+
+/// One loaded lane: which input it holds and how it was prepared.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Default, Clone, Copy)]
+struct Lane {
+    idx: usize,
+    prep: Prepared,
+}
+
+/// The lockstep batch: inputs eligible by shape are queued and sorted by
+/// Jacobi shape, then loaded lane by lane; a group is swept when four
+/// lanes are full or the shape changes. An input whose prepared norm is
+/// zero or non-finite falls back to [`svd_thin_into`] at load time.
+#[cfg(target_arch = "x86_64")]
+fn lockstep_batch<A: AsMatRef>(
+    inputs: &[A],
+    outs: &mut [SvdFactors],
+    ws: &mut SvdBatchScratch,
+    avx2: Avx2,
+) {
+    let SvdBatchScratch { scalar, queue, w, v } = ws;
+    // The shape the Jacobi core sees: wide inputs are transposed.
+    let shape = |i: usize| {
+        let (m, n) = inputs[i].as_mat_ref().shape();
+        (m.max(n), m.min(n))
+    };
+    queue.clear();
+    for (i, (a, out)) in inputs.iter().zip(outs.iter_mut()).enumerate() {
+        let (m, n) = shape(i);
+        if n > 0 && !needs_qr(m, n) {
+            queue.push(i);
+        } else {
+            svd_thin_into(a, out, scalar);
+        }
+    }
+    queue.sort_unstable_by_key(|&i| shape(i));
+
+    let mut lanes = [Lane::default(); LANES];
+    let (mut live, mut group) = (0, (0, 0));
+    for &i in queue.iter() {
+        let (m, n) = shape(i);
+        if live > 0 && (m, n) != group {
+            run_lanes(&lanes[..live], group, w, v, outs, scalar, avx2);
+            live = 0;
+        }
+        if live == 0 {
+            group = (m, n);
+            w.resize(m * n * LANES, 0.0);
+            v.resize(n * n * LANES, 0.0);
+        }
+        let (a, prep) = prepare(inputs[i].as_mat_ref(), &mut scalar.trans, &mut scalar.scaled);
+        if !(prep.fro.is_finite() && prep.fro > 0.0) {
+            svd_thin_into(&inputs[i], &mut outs[i], scalar);
+            continue;
+        }
+        for j in 0..n {
+            for r in 0..m {
+                w[(j * m + r) * LANES + live] = a.at(r, j);
+            }
+            for r in 0..n {
+                v[(j * n + r) * LANES + live] = if r == j { 1.0 } else { 0.0 };
+            }
+        }
+        lanes[live] = Lane { idx: i, prep };
+        live += 1;
+        if live == LANES {
+            run_lanes(&lanes, group, w, v, outs, scalar, avx2);
+            live = 0;
+        }
+    }
+    if live > 0 {
+        run_lanes(&lanes[..live], group, w, v, outs, scalar, avx2);
+    }
+}
+
+/// Sweeps one loaded group of `(m, n)` lanes to convergence, then runs
+/// each lane's tail into its output. Unused lanes are zeroed and idle.
+#[cfg(target_arch = "x86_64")]
+fn run_lanes(
+    lanes: &[Lane],
+    (m, n): (usize, usize),
+    w: &mut [f64],
+    v: &mut [f64],
+    outs: &mut [SvdFactors],
+    scalar: &mut SvdScratch,
+    _avx2: Avx2,
+) {
+    let mut floor = [0.0; LANES];
+    for (f, lane) in floor.iter_mut().zip(lanes) {
+        *f = skip_floor(lane.prep.fro);
+    }
+    for entry in w.chunks_exact_mut(LANES).chain(v.chunks_exact_mut(LANES)) {
+        entry[lanes.len()..].fill(0.0);
+    }
+    // SAFETY: an `Avx2` token exists only after the runtime check found
+    // AVX2, the one precondition of the `#[target_feature]` function.
+    #[allow(unsafe_code)]
+    unsafe {
+        sweeps_avx2(w, v, m, n, floor, lanes.len())
+    };
+    for (l, lane) in lanes.iter().enumerate() {
+        scalar.w.clear();
+        scalar.w.extend(w.iter().skip(l).step_by(LANES));
+        scalar.v.resize_zeroed(n, n);
+        for j in 0..n {
+            for r in 0..n {
+                scalar.v.set(r, j, v[(j * n + r) * LANES + l]);
+            }
+        }
+        let (u, s, v_out) = lane.prep.slots(&mut outs[lane.idx]);
+        jacobi_finish(&scalar.w, m, &scalar.v, u, s, v_out, &mut scalar.tail);
+        lane.prep.unscale(s);
+    }
+}
+
+/// The Jacobi sweeps of [`jacobi_svd_into`] on up to four interleaved
+/// `m × n` matrices at once, lane `l` holding matrix `l` (`l < live`) with
+/// skip floor `floor[l]`.
+///
+/// Every lane runs the scalar operation sequence: dot products in
+/// ascending rows, one accumulator each; the same skip test; the same
+/// `zeta → t → c → s` formulas; separate multiply and add (this function
+/// enables AVX2 only, never FMA). A lane that skips a pair keeps its
+/// columns through a blend, and drops out after its first sweep without a
+/// rotation — where the scalar loop breaks, because a further sweep would
+/// repeat the same skips. So each lane ends with the scalar path's bits.
+///
+/// # Safety
+/// The CPU must support AVX2 (an [`Avx2`] token proves it).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)] // contained SIMD exception; see module docs
+unsafe fn sweeps_avx2(
+    w: &mut [f64],
+    v: &mut [f64],
+    m: usize,
+    n: usize,
+    floor: [f64; LANES],
+    live: usize,
+) {
+    use core::arch::x86_64::*;
+    assert!(w.len() == m * n * LANES && v.len() == n * n * LANES, "sweeps_avx2: buffer sizes");
+    let (wp, vp) = (w.as_mut_ptr(), v.as_mut_ptr());
+    // SAFETY: each access is a 4-wide load or store at `(c·len + i)·LANES`
+    // with column `c < n` and row `i < len`, `len` being `m` for `w` and `n`
+    // for `v`, so it stays inside the asserted lengths; `loadu`/`storeu`
+    // need no alignment. Columns `p < q` never overlap.
+    unsafe {
+        let sign = _mm256_set1_pd(-0.0);
+        let one = _mm256_set1_pd(1.0);
+        let two = _mm256_set1_pd(2.0);
+        let rel = _mm256_set1_pd(1e-15);
+        let floor = _mm256_loadu_pd(floor.as_ptr());
+        let lane_on = |l: usize| if l < live { -1 } else { 0 };
+        let mut active =
+            _mm256_castsi256_pd(_mm256_set_epi64x(lane_on(3), lane_on(2), lane_on(1), lane_on(0)));
+        for _sweep in 0..MAX_SWEEPS {
+            if _mm256_movemask_pd(active) == 0 {
+                break;
+            }
+            let mut rotated = _mm256_setzero_pd();
+            for p in 0..n {
+                for q in p + 1..n {
+                    let (cp, cq) = (wp.add(p * m * LANES), wp.add(q * m * LANES));
+                    let (mut app, mut aqq, mut apq) =
+                        (_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd());
+                    for i in 0..m {
+                        let xp = _mm256_loadu_pd(cp.add(i * LANES));
+                        let xq = _mm256_loadu_pd(cq.add(i * LANES));
+                        app = _mm256_add_pd(app, _mm256_mul_pd(xp, xp));
+                        aqq = _mm256_add_pd(aqq, _mm256_mul_pd(xq, xq));
+                        apq = _mm256_add_pd(apq, _mm256_mul_pd(xp, xq));
+                    }
+                    let abs = _mm256_andnot_pd(sign, apq);
+                    let bound = _mm256_mul_pd(rel, _mm256_sqrt_pd(_mm256_mul_pd(app, aqq)));
+                    let skip = _mm256_or_pd(
+                        _mm256_cmp_pd::<_CMP_LE_OQ>(abs, floor),
+                        _mm256_cmp_pd::<_CMP_LE_OQ>(abs, bound),
+                    );
+                    let rot = _mm256_andnot_pd(skip, active);
+                    if _mm256_movemask_pd(rot) == 0 {
+                        continue;
+                    }
+                    rotated = _mm256_or_pd(rotated, rot);
+                    let zeta = _mm256_div_pd(_mm256_sub_pd(aqq, app), _mm256_mul_pd(two, apq));
+                    // signum(zeta) = ±1 carrying zeta's sign bit.
+                    let signum = _mm256_or_pd(_mm256_and_pd(zeta, sign), one);
+                    let root = _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(zeta, zeta)));
+                    let t =
+                        _mm256_div_pd(signum, _mm256_add_pd(_mm256_andnot_pd(sign, zeta), root));
+                    let c =
+                        _mm256_div_pd(one, _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(t, t))));
+                    let s = _mm256_mul_pd(c, t);
+                    // Rotate columns p and q of W, then of V.
+                    let pairs = [(cp, cq, m), (vp.add(p * n * LANES), vp.add(q * n * LANES), n)];
+                    for (a, b, len) in pairs {
+                        for i in 0..len {
+                            let (pa, pb) = (a.add(i * LANES), b.add(i * LANES));
+                            let xp = _mm256_loadu_pd(pa);
+                            let xq = _mm256_loadu_pd(pb);
+                            let np = _mm256_sub_pd(_mm256_mul_pd(c, xp), _mm256_mul_pd(s, xq));
+                            let nq = _mm256_add_pd(_mm256_mul_pd(s, xp), _mm256_mul_pd(c, xq));
+                            _mm256_storeu_pd(pa, _mm256_blendv_pd(xp, np, rot));
+                            _mm256_storeu_pd(pb, _mm256_blendv_pd(xq, nq, rot));
+                        }
+                    }
+                }
+            }
+            active = _mm256_and_pd(active, rotated);
+        }
+    }
 }
 
 /// Fills the given columns of `u` with vectors orthonormal to all other
@@ -516,6 +968,90 @@ mod tests {
     fn empty_matrix() {
         let f = svd_thin(Mat::zeros(0, 0));
         assert!(f.s.is_empty());
+    }
+
+    /// Bit patterns of a factorization, for exact comparisons.
+    fn factor_bits(f: &SvdFactors) -> Vec<u64> {
+        f.u.data().iter().chain(&f.s).chain(f.v.data()).map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn scale_window_keeps_far_scaled_inputs_correct() {
+        // Before the rescale, the skip test's absolute floor and the
+        // products `app·aqq`, `‖A‖²` made these scales skip rotations (or
+        // overflow) and return wrong factors.
+        let mut rng = StdRng::seed_from_u64(28);
+        let square = Mat::from_rows(&[&[2.0, -1.0, 0.5], &[0.3, 4.0, 1.0], &[-1.5, 0.7, 3.0]]);
+        for a in [square, gaussian_mat(12, 4, &mut rng), gaussian_mat(4, 7, &mut rng)] {
+            let base = svd_thin(&a);
+            for c in [1e12, 1e-12, 1e30, 1e-30, 1e150, 1e-150] {
+                let ca = a.scaled(c);
+                let f = svd_thin(&ca);
+                let k = f.s.len();
+                let iu = (&f.u.gram() - &Mat::eye(k)).fro_norm();
+                let iv = (&f.v.gram() - &Mat::eye(k)).fro_norm();
+                assert!(
+                    iu <= 1e-13 && iv <= 1e-13,
+                    "c = {c:e}: ‖UᵀU − I‖ {iu:e}, ‖VᵀV − I‖ {iv:e}"
+                );
+                let rec = (&ca - &f.reconstruct()).fro_norm() / ca.fro_norm();
+                assert!(rec <= 1e-13, "c = {c:e}: relative reconstruction error {rec:e}");
+                for (x, y) in f.s.iter().zip(&base.s) {
+                    assert!(
+                        (x - c * y).abs() <= 1e-13 * c * y,
+                        "c = {c:e}: σ {x:e} vs {:e}",
+                        c * y
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn power_of_two_scaling_is_exact() {
+        // In the window, the sweep is equivariant under exact power-of-two
+        // scaling; outside it, the rescale lands on the same sweep. Either
+        // way U and V keep their bits and σ scales exactly.
+        let mut rng = StdRng::seed_from_u64(29);
+        for (m, n) in [(6, 6), (9, 7), (30, 5), (3, 8)] {
+            let a = gaussian_mat(m, n, &mut rng);
+            let base = svd_thin(&a);
+            for k in [-900, -600, -100, -3, 5, 100, 600, 900] {
+                let f = svd_thin(a.scaled(2f64.powi(k)));
+                let unscaled: Vec<f64> = f.s.iter().map(|x| x * 2f64.powi(-k)).collect();
+                let f = SvdFactors { s: unscaled, ..f };
+                assert_eq!(factor_bits(&f), factor_bits(&base), "{m}x{n} scaled by 2^{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_batch_fallback_matches_batch_entry() {
+        // The fallback CPUs without AVX2 take, called directly so that
+        // machines with AVX2 cover it too.
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut nan = gaussian_mat(6, 6, &mut rng);
+        nan.set(1, 1, f64::NAN);
+        let inputs = [
+            gaussian_mat(6, 6, &mut rng),
+            gaussian_mat(6, 6, &mut rng),
+            Mat::zeros(6, 6),
+            nan,
+            gaussian_mat(6, 6, &mut rng).scaled(1e-200),
+            gaussian_mat(20, 4, &mut rng),
+            gaussian_mat(4, 5, &mut rng),
+            gaussian_mat(6, 6, &mut rng),
+            gaussian_mat(6, 6, &mut rng),
+        ];
+        let mut fallback = vec![SvdFactors::default(); inputs.len()];
+        scalar_batch(&inputs, &mut fallback, &mut SvdScratch::default());
+        let mut batch = vec![SvdFactors::default(); inputs.len()];
+        svd_thin_batch_into(&inputs, &mut batch, &mut SvdBatchScratch::default());
+        for (i, a) in inputs.iter().enumerate() {
+            let want = factor_bits(&svd_thin(a));
+            assert_eq!(factor_bits(&fallback[i]), want, "fallback, input {i}");
+            assert_eq!(factor_bits(&batch[i]), want, "batch entry, input {i}");
+        }
     }
 
     #[test]

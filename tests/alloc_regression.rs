@@ -364,6 +364,32 @@ fn svd_thin_into_tall_on_reused_scratch_allocates_nothing() {
     assert_eq!(after - before, 0, "same-shape tall svd_thin_into on a reused scratch allocated");
 }
 
+/// Kernel pin: a second same-shape `svd_thin_batch_into` call on a reused
+/// scratch allocates nothing — whether an input is swept in lockstep, sent
+/// to the scalar path (QR-preconditioned, non-finite) or rescaled first.
+#[test]
+fn svd_thin_batch_into_on_reused_scratch_allocates_nothing() {
+    use dpar2_repro::linalg::svd::svd_thin_batch_into;
+    use dpar2_repro::linalg::{gaussian_mat, Mat, SvdBatchScratch, SvdFactors};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(9012);
+    let mut inputs: Vec<Mat> = (0..9).map(|_| gaussian_mat(6, 6, &mut rng)).collect();
+    inputs.push(gaussian_mat(30, 6, &mut rng));
+    inputs.push(gaussian_mat(6, 6, &mut rng).scaled(1e-200));
+    let mut nan = gaussian_mat(6, 6, &mut rng);
+    nan.set(0, 1, f64::NAN);
+    inputs.push(nan);
+    let mut outs = vec![SvdFactors::default(); inputs.len()];
+    let mut ws = SvdBatchScratch::default();
+    svd_thin_batch_into(&inputs, &mut outs, &mut ws);
+    let before = allocs_now();
+    svd_thin_batch_into(&inputs, &mut outs, &mut ws);
+    let after = allocs_now();
+    assert_eq!(after - before, 0, "same-shape svd_thin_batch_into on a reused scratch allocated");
+}
+
 /// Guard for the measurement itself: the thread-local counter observes this
 /// thread's allocations (so the zero assertions above are meaningful).
 #[test]
